@@ -14,19 +14,22 @@ from typing import Sequence
 
 from rkcodes.codes import (
     DEFAULT_BUDGET_LOG2,
+    BinaryCode,
     BudgetError,
     ModuleSpan,
     QTCode,
+    _check_budget,
     binary_image,
     binary_image_of_span,
     code_record,
     code_span,
     flatten_vec,
     grade_scaled,
-    residue_code,
+    hom_weigher,
+    residue_word,
     unflatten_vec,
 )
-from rkcodes.gf2 import F2Span
+from rkcodes.gf2 import F2Span, span_counts
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import format_generator, shift
 from rkcodes.ring import RingElement, gamma, one, parse_element, zero
@@ -51,9 +54,11 @@ class TableRow:
 def load_table_rows(tables: Sequence[int] = (1, 2, 3)) -> tuple[TableRow, ...]:
     text = resources.files("rkcodes").joinpath("data/tables.csv").read_text()
     wanted = set(tables)
+    known = set()
     rows = []
     for rec in csv.DictReader(io.StringIO(text)):
         t = int(rec["table"])
+        known.add(t)
         if t not in wanted:
             continue
         rows.append(
@@ -70,6 +75,8 @@ def load_table_rows(tables: Sequence[int] = (1, 2, 3)) -> tuple[TableRow, ...]:
                 rec["notes"],
             )
         )
+    if not wanted or not wanted <= known:
+        raise ValueError(f"table ids must be among {sorted(known)}, got {sorted(wanted)}")
     return tuple(rows)
 
 
@@ -156,28 +163,20 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     are reported as None.
     """
     span = code_span(code)
-    k = code.k
-    n_bits = 1 << k
-    mask = (1 << n_bits) - 1
-    top_word = 1 << (n_bits - 1)
+    _check_budget(span.rank, budget)
+    k, n = span.k, span.n
     g = gamma(k)
-    d_hom = None
-    d_nonkernel = None
-    for flat in span.iter_flat(budget):
-        if flat == 0:
-            continue
-        w = 0
-        residue_nonzero = False
-        for i in range(span.n):
-            word = (flat >> (i * n_bits)) & mask
-            if word:
-                w += 2 * g if word == top_word else g
-                residue_nonzero |= bool(word & 1)
-        if d_hom is None or w < d_hom:
-            d_hom = w
-        if residue_nonzero and (d_nonkernel is None or w < d_nonkernel):
-            d_nonkernel = w
-    res = residue_code(code, budget)
+    # One RREF of residue(b) | b << n: rows pivoting below n carry the
+    # residue code's basis, the others (shifted down) the residue kernel's.
+    low = (1 << n) - 1
+    joint = F2Span(residue_word(b, k, n) | b << n for b in span.basis).basis()
+    res = BinaryCode.from_rows(n, [r & low for r in joint if r & low])
+    kernel = [r >> n for r in joint if not r & low]
+    weigh = hom_weigher(k, n)
+    counts = span_counts(span.basis, weigh)
+    nonkernel = counts - span_counts(kernel, weigh)
+    d_hom = g * min(w for w in counts if w) if span.rank else None
+    d_nonkernel = g * min(nonkernel) if nonkernel else None
     d_res = res.min_distance(budget) if res.rank else None
     lower = g * d_res if d_res is not None else None
     upper = 2 * g * d_res if d_res is not None else None
@@ -257,6 +256,10 @@ class SearchConfig:
             raise ValueError(f"unknown search mode {self.mode!r}")
         if not self.m_values:
             raise ValueError("need at least one coindex value")
+        if self.ell < 1 or min(self.m_values) < 1:
+            raise ValueError("index ell and coindex m must be positive")
+        if self.mode == "random" and self.samples < 1:
+            raise ValueError("random search needs at least one sample")
 
 
 def config_hash(config: SearchConfig) -> str:

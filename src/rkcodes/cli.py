@@ -259,7 +259,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_tables(args: argparse.Namespace) -> int:
-    tables = tuple(int(t) for t in args.tables.split(",") if t.strip())
+    try:
+        tables = tuple(int(t) for t in args.tables.split(",") if t.strip())
+    except ValueError:
+        raise ValueError(f"--tables takes comma-separated table ids, got {args.tables!r}") from None
     reports = verify_tables(tables, args.budget)
     _emit_rows(
         reports,

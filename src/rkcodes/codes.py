@@ -20,10 +20,11 @@ permutation only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from functools import cache, cached_property, partial
+from operator import methodcaller
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from rkcodes.gf2 import F2Span, rotate_bits, span_iter
+from rkcodes.gf2 import F2Span, rotate_bits, span_counts, span_iter
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import (
     Polynomial,
@@ -287,11 +288,7 @@ class BinaryCode:
 
     @cached_property
     def _weight_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for word in span_iter(self.rows):
-            w = word.bit_count()
-            counts[w] = counts.get(w, 0) + 1
-        return counts
+        return span_counts(self.rows, partial(map, int.bit_count))
 
     def weight_enumerator(self, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
         _check_budget(self.rank, budget)
@@ -348,40 +345,54 @@ def binary_image(
     return binary_image_of_span(span, gray)
 
 
+def _gamma_weight(flat: int, k: int, width: int) -> int:
+    """Homogeneous weight, in units of gamma, of the R_k coordinates in the low width bits."""
+    bits = 1 << k
+    mask = (1 << bits) - 1
+    weights = (RingElement(k, (flat >> s) & mask).hom_weight() for s in range(0, width, bits))
+    return sum(weights) // gamma(k)
+
+
+@cache
+def _hom_byte_weights(k: int) -> bytes:
+    return bytes(_gamma_weight(b, k, 8) for b in range(256))
+
+
+def hom_weigher(k: int, n: int) -> Callable[[Iterator[int]], Iterable[int]]:
+    """span_counts weigher: homogeneous weight, in units of gamma(k), of flat length-n words.
+
+    For k <= 3 a coordinate fits in a byte, so a word is weighed by one
+    bytes.translate through a 256-entry table (built once per k) and a sum;
+    wider coordinates are weighed one at a time.
+    """
+    width = n << k
+    if k <= 3:
+        to_bytes = methodcaller("to_bytes", (width + 7) // 8, "little")
+        translate = methodcaller("translate", _hom_byte_weights(k))
+        return lambda words: map(sum, map(translate, map(to_bytes, words)))
+    return partial(map, partial(_gamma_weight, k=k, width=width))
+
+
 def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
     """Homogeneous weight distribution, computed on the ring side."""
     span = code_span(code)
     _check_budget(span.rank, budget)
-    k = span.k
+    g = gamma(span.k)
+    counts = span_counts(span.basis, hom_weigher(span.k, span.n))
+    return WeightEnumerator({g * w: c for w, c in counts.items()})
+
+
+def residue_word(flat: int, k: int, n: int) -> int:
+    """Bit i = residue (coefficient of u_empty) of coordinate i of a flat word."""
     n_bits = 1 << k
-    mask = (1 << n_bits) - 1
-    top = 1 << (n_bits - 1)
-    g = gamma(k)
-    wt = [0] * (1 << n_bits)
-    for c in range(1, 1 << n_bits):
-        wt[c] = 2 * g if c == top else g
-    counts: dict[int, int] = {}
-    for flat in span.iter_flat(budget):
-        w = 0
-        for i in range(span.n):
-            w += wt[(flat >> (i * n_bits)) & mask]
-        counts[w] = counts.get(w, 0) + 1
-    return WeightEnumerator(counts)
+    return sum(((flat >> (i * n_bits)) & 1) << i for i in range(n))
 
 
 def residue_code(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> BinaryCode:
     """Binary projection of the code under reduction mod the maximal ideal."""
     span = code_span(code)
     _check_budget(span.rank, budget)
-    n_bits = 1 << span.k
-    rows = []
-    for flat in span.basis:
-        row = 0
-        for i in range(span.n):
-            if (flat >> (i * n_bits)) & 1:
-                row |= 1 << i
-        rows.append(row)
-    return BinaryCode.from_rows(span.n, rows)
+    return BinaryCode.from_rows(span.n, [residue_word(b, span.k, span.n) for b in span.basis])
 
 
 def free_rank_check(g: Polynomial) -> tuple[bool, int | None]:
@@ -431,7 +442,7 @@ def code_record(
 ) -> dict:
     """JSON-ready summary of a code and its binary image."""
     img = binary_image(code, budget, gray)
-    enum = img.weight_enumerator(budget) if img.rank <= budget else None
+    enum = img.weight_enumerator(budget)
     qc_index = None
     if code.lam.coeffs == 1:
         s = (1 << ((1 << code.k) - 1)) * code.ell
@@ -447,7 +458,7 @@ def code_record(
             "length": img.length,
             "dimension": img.rank,
             "min_distance": img.min_distance(budget) if img.rank else None,
-            "weight_enumerator": [list(p) for p in enum.pairs()] if enum else None,
+            "weight_enumerator": [list(p) for p in enum.pairs()],
         },
         "flags": {
             "self_orthogonal": img.is_self_orthogonal(),

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Iterator, Sequence
+
+LOW_ROWS = 10  # span_counts blocks hold 2^LOW_ROWS words
 
 
 class F2Span:
@@ -64,6 +67,28 @@ def span_iter(basis: Sequence[int]) -> Iterator[int]:
     for i in range(1, 1 << len(basis)):
         cur ^= basis[(i & -i).bit_length() - 1]
         yield cur
+
+
+def span_counts(
+    basis: Sequence[int], weigh: Callable[[Iterator[int]], Iterable[int]]
+) -> Counter:
+    """Weight -> count over all 2^len(basis) XOR-combinations of basis rows.
+
+    The span of the first LOW_ROWS rows is built once as a block of ints;
+    every combination h of the remaining rows (in span_iter order) then
+    contributes the block h ^ block.  weigh receives each block as an
+    iterator of words and returns one weight per word, so a weigher built
+    from map() over C-level callables (int.bit_count, bytes.translate, sum)
+    costs a few C calls per word and one Python iteration per 2^LOW_ROWS
+    words.  Memory is one block, whatever the rank.
+    """
+    block = [0]
+    for row in basis[:LOW_ROWS]:
+        block += list(map(row.__xor__, block))
+    counts: Counter = Counter()
+    for h in span_iter(basis[LOW_ROWS:]):
+        counts.update(weigh(map(h.__xor__, block)))
+    return counts
 
 
 def rotate_bits(v: int, s: int, length: int) -> int:

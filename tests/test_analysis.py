@@ -29,6 +29,9 @@ def test_fixture_row_counts_and_notes():
     assert sum(1 for r in rows if r.notes == "---") == 3  # blanks preserved
     assert any(r.notes == "best-known" for r in rows if r.table == 1)
     assert load_table_rows((2,)) == tuple(r for r in rows if r.table == 2)
+    for unknown in ((), (9,), (1, 9)):
+        with pytest.raises(ValueError):
+            load_table_rows(unknown)
 
 
 def test_verify_tables_matches_except_known_misprint():
@@ -167,3 +170,9 @@ def test_search_config_validation():
         SearchConfig(k=1, mode="stochastic")
     with pytest.raises(ValueError):
         SearchConfig(k=1, m_values=())
+    with pytest.raises(ValueError):
+        SearchConfig(k=1, ell=0)
+    with pytest.raises(ValueError):
+        SearchConfig(k=1, m_values=(2, 0))
+    with pytest.raises(ValueError):
+        SearchConfig(k=1, mode="random", samples=0)

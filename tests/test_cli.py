@@ -129,6 +129,27 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("search", "--k", "1", "--ell", "0", "--m", "2"),
+        ("search", "--k", "1", "--ell", "1", "--m", "0"),
+        ("search", "--k", "1", "--ell", "1", "--m", "2", "--mode", "random", "--samples", "0"),
+        ("verify-tables", "--tables", "9"),
+        ("verify-tables", "--tables", ","),
+        ("verify-tables", "--tables", "x"),
+    ],
+)
+def test_empty_or_malformed_work_is_a_usage_error(capsys, argv):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    for internal in ("range()", "int()", "Traceback"):
+        assert internal not in captured.err
+
+
 def test_budget_exit_code(capsys):
     rc, _ = run(capsys, "image", "--k", "2", "--gen", "11", "--budget", "3")
     assert rc == 3

@@ -1,0 +1,154 @@
+"""Blocked codeword enumeration against plain per-word loops."""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from functools import partial
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rkcodes.analysis import bound_check
+from rkcodes.codes import (
+    QTCode,
+    WeightEnumerator,
+    code_span,
+    hom_weight_enumerator,
+    residue_code,
+)
+from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_iter
+from rkcodes.ring import RingElement, gamma, units
+
+hamming = partial(map, int.bit_count)
+
+
+def random_basis(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
+    span = F2Span()
+    while span.rank < rank:
+        span.add(rng.getrandbits(length))
+    return span.basis()
+
+
+def random_codes(seed: int, count: int, ks=(1, 2, 3), max_rank: int = 13):
+    """Random QT codes over R_k, k in ks, of F2 rank at most max_rank."""
+    rng = random.Random(seed)
+    max_n = {1: 6, 2: 4, 3: 2}
+    out = []
+    while len(out) < count:
+        k = rng.choice(ks)
+        ell = rng.randint(1, max_n[k])
+        m = rng.randint(1, max_n[k] // ell)
+        lam = rng.choice(list(units(k)))
+        gens = tuple(
+            tuple(
+                tuple(RingElement(k, rng.randrange(1 << (1 << k))) for _ in range(m))
+                for _ in range(ell)
+            )
+            for _ in range(rng.choice((1, 1, 2)))
+        )
+        if not any(e for gen in gens for block in gen for e in block):
+            continue
+        code = QTCode(lam, ell, m, gens)
+        if code_span(code).rank <= max_rank:
+            out.append(code)
+    return out
+
+
+@pytest.mark.parametrize("rank", [0, 1, LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, 15])
+def test_span_counts_matches_span_iter(rank):
+    basis = random_basis(random.Random(rank), rank, 40)
+    assert span_counts(basis, hamming) == Counter(map(int.bit_count, span_iter(basis)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, (1 << 48) - 1), max_size=14))
+def test_span_counts_property(rows):
+    basis = F2Span(rows).basis()
+    counts = span_counts(basis, hamming)
+    assert sum(counts.values()) == 1 << len(basis)
+    assert counts == Counter(map(int.bit_count, span_iter(basis)))
+
+
+def oracle_hom_enumerator(code: QTCode) -> WeightEnumerator:
+    words = code_span(code).codewords()
+    return WeightEnumerator(Counter(sum(e.hom_weight() for e in word) for word in words))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hom_weight_enumerator_matches_ring_weights(k):
+    for code in random_codes(k, 15, ks=(k,)):
+        assert hom_weight_enumerator(code) == oracle_hom_enumerator(code), code
+
+
+def test_hom_weight_enumerator_wide_coordinates():
+    # R_4 coordinates are 16 bits wide, past the byte table.
+    code = QTCode.from_strings(4, ["u1u2,u3u4+u1u2u3u4"], notation="generic")
+    enum = hom_weight_enumerator(code)
+    assert enum == oracle_hom_enumerator(code)
+    assert enum[2 * gamma(4)] > 0  # the top monomial is reached
+
+
+def oracle_bound_check(code: QTCode) -> dict:
+    """Per-word loop: homogeneous weight and residue test of every codeword."""
+    span = code_span(code)
+    n_bits = 1 << code.k
+    mask = (1 << n_bits) - 1
+    top_word = 1 << (n_bits - 1)
+    g = gamma(code.k)
+    d_hom = None
+    d_nonkernel = None
+    for flat in span_iter(span.basis):
+        if flat == 0:
+            continue
+        w = 0
+        residue_nonzero = False
+        for i in range(span.n):
+            word = (flat >> (i * n_bits)) & mask
+            if word:
+                w += 2 * g if word == top_word else g
+                residue_nonzero |= bool(word & 1)
+        if d_hom is None or w < d_hom:
+            d_hom = w
+        if residue_nonzero and (d_nonkernel is None or w < d_nonkernel):
+            d_nonkernel = w
+    res = residue_code(code)
+    d_res = res.min_distance() if res.rank else None
+    lower = g * d_res if d_res is not None else None
+    upper = 2 * g * d_res if d_res is not None else None
+    lemma_lower_holds = upper_ok = sound_lower_ok = None
+    if d_res is not None and d_hom is not None:
+        lemma_lower_holds = lower <= d_hom
+        upper_ok = d_hom <= upper
+        sound_lower_ok = d_nonkernel >= lower
+    gen_bound = gen_ok = None
+    if len(code.generators) == 1 and d_hom is not None:
+        unit_coeffs = sum(sum(1 for c in block if c.is_unit) for block in code.generators[0])
+        if unit_coeffs:
+            gen_bound = 2 * g * unit_coeffs
+            gen_ok = d_hom <= gen_bound
+    return {
+        "residue_distance": d_res,
+        "hom_distance": d_hom,
+        "nonkernel_distance": d_nonkernel,
+        "lower_bound": lower,
+        "upper_bound": upper,
+        "generator_bound": gen_bound,
+        "lemma_lower_holds": lemma_lower_holds,
+        "ok": all(flag is not False for flag in (sound_lower_ok, upper_ok, gen_ok)),
+    }
+
+
+def test_bound_check_matches_per_word_loop():
+    codes = random_codes(2024, 60)
+    assert any(code_span(c).rank > LOW_ROWS for c in codes)
+    for code in codes:
+        assert bound_check(code) == oracle_bound_check(code), code
+
+
+def test_bound_check_matches_per_word_loop_on_135_counterexample():
+    code = QTCode.from_strings(2, ["135"])
+    report = bound_check(code)
+    assert report == oracle_bound_check(code)
+    assert report["lemma_lower_holds"] is False and report["ok"] is True
