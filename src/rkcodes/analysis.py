@@ -31,8 +31,17 @@ from rkcodes.codes import (
 )
 from rkcodes.gf2 import F2Span, span_counts
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import format_generator, shift
-from rkcodes.ring import RingElement, gamma, one, parse_element, zero
+from rkcodes.polyqt import element_separator, format_generator
+from rkcodes.ring import (
+    K_MAX,
+    RingElement,
+    elements,
+    format_element,
+    gamma,
+    one,
+    parse_element,
+    zero,
+)
 
 
 @dataclass(frozen=True)
@@ -254,6 +263,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown search mode {self.mode!r}")
+        if not 1 <= self.k <= K_MAX:
+            raise ValueError(f"search needs Gray images, which exist for k in 1..{K_MAX}")
         if not self.m_values:
             raise ValueError("need at least one coindex value")
         if self.ell < 1 or min(self.m_values) < 1:
@@ -273,27 +284,63 @@ def _digits_to_blocks(digits: Sequence[int], k: int, ell: int, m: int):
     )
 
 
-def _orbit_min_string(blocks, lam: RingElement, notation: str | None) -> tuple[str, str]:
-    """(candidate string, minimum string over the simultaneous-shift orbit)."""
-    cur = blocks
-    first = format_generator(cur, notation)
+def _orbit_keys(k: int, ell: int, m: int, notation: str | None) -> list[list[int]]:
+    """Per digit position, the rank of format_element(c) + the separator after it.
+
+    The separator is "," inside a generic block, "|" after a block and ""
+    at the end.  A tuple of these ranks orders digit tuples as their
+    format_generator strings: separators sit at the same positions in every
+    tuple and no element token contains one, so the first differing token
+    decides both comparisons.
+    """
+    inner = element_separator(k, notation)
+    texts = [format_element(e, notation) for e in elements(k)]
+
+    def ranks(sep: str) -> list[int]:
+        order = {t: r for r, t in enumerate(sorted(t + sep for t in texts))}
+        return [order[t + sep] for t in texts]
+
+    keys = ([ranks(inner)] * (m - 1) + [ranks("|")]) * ell
+    keys[-1] = ranks("")
+    return keys
+
+
+def _orbit_min_string(
+    digits: Sequence[int], keys: list[list[int]], lam_times: list[int], m: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(candidate key, minimum key over the simultaneous-shift orbit).
+
+    digits[b*m + i] is coefficient i of block b; lam_times[c] is lambda*c.
+    Keys are the _orbit_keys ranks, so they compare as the generator
+    strings would.
+    """
+    first = tuple(map(list.__getitem__, keys, digits))
     best = first
-    for _ in range(len(blocks[0]) - 1):
-        cur = tuple(shift(b, lam) for b in cur)
-        s = format_generator(cur, notation)
-        if s < best:
-            best = s
+    twisted = [lam_times[c] for c in digits]
+    for s in range(1, m):  # s twisted shifts of every block
+        member: list[int] = []
+        for lo in range(0, len(digits), m):
+            member += twisted[lo + m - s : lo + m]
+            member += digits[lo : lo + m - s]
+        key = tuple(map(list.__getitem__, keys, member))
+        if key < best:
+            best = key
     return first, best
 
 
-def _evaluate_chunk(payload: dict) -> dict:
-    """Best (d, generator string) per (length, dimension) cell for one chunk."""
+def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
+    """Best (d, generator string) per (length, dimension) cell for one chunk.
+
+    Also returns how many candidates were skipped for the codeword budget.
+    """
     k = payload["k"]
     ell = payload["ell"]
     m = payload["m"]
     budget = payload["budget"]
     notation = payload["notation"]
     lam = parse_element(payload["lam"], k, notation)
+    keys = _orbit_keys(k, ell, m, notation)
+    lam_times = [(lam * e).coeffs for e in elements(k)]
     size = 1 << (1 << k)
     if "index_range" in payload:
         lo, hi = payload["index_range"]
@@ -313,24 +360,27 @@ def _evaluate_chunk(payload: dict) -> dict:
             yield from payload["tuples"]
 
     best: dict[tuple[int, int], tuple[int, str]] = {}
+    skipped = 0
     for digits in candidates():
         if not any(digits):
             continue
-        blocks = _digits_to_blocks(digits, k, ell, m)
-        gen_str, orbit_min = _orbit_min_string(blocks, lam, notation)
-        if gen_str != orbit_min:
+        key, orbit_min = _orbit_min_string(digits, keys, lam_times, m)
+        if key != orbit_min:
             continue  # a shift-equivalent candidate was or will be seen
+        blocks = _digits_to_blocks(digits, k, ell, m)
         code = QTCode(lam, ell, m, (blocks,))
         try:
             img = binary_image(code, budget)
             d = img.min_distance(budget)
         except BudgetError:
+            skipped += 1
             continue
+        gen_str = format_generator(blocks, notation)
         cell = (img.length, img.rank)
         cur = best.get(cell)
         if cur is None or d > cur[0] or (d == cur[0] and gen_str < cur[1]):
             best[cell] = (d, gen_str)
-    return {f"{length}:{dim}": val for (length, dim), val in best.items()}
+    return {f"{length}:{dim}": val for (length, dim), val in best.items()}, skipped
 
 
 def _merge_best(acc: dict, new: dict) -> None:
@@ -345,8 +395,11 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
 
     Candidates are single-generator tuples; only the lexicographically
     smallest member of each simultaneous-shift orbit is evaluated.  Output
-    is independent of the worker count.
+    is independent of the worker count.  Raises BudgetError when candidates
+    were skipped for the codeword budget and none was evaluated.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     size = 1 << (1 << config.k)
     payload_base = {
         "k": config.k,
@@ -382,14 +435,20 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
             for lo in range(0, len(tuples), step):
                 payloads.append(dict(payload_base, m=m, tuples=tuples[lo : lo + step]))
 
-    best: dict[str, tuple[int, str]] = {}
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_evaluate_chunk, payloads):
-                _merge_best(best, result)
+            results = list(pool.map(_evaluate_chunk, payloads))
     else:
-        for payload in payloads:
-            _merge_best(best, _evaluate_chunk(payload))
+        results = map(_evaluate_chunk, payloads)
+    best: dict[str, tuple[int, str]] = {}
+    skipped = 0
+    for cells, chunk_skipped in results:
+        _merge_best(best, cells)
+        skipped += chunk_skipped
+    if skipped and not best:
+        raise BudgetError(
+            f"all {skipped} candidate codes skipped: each has over 2^{config.budget} codewords"
+        )
 
     h = config_hash(config)
     records = []

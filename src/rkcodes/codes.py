@@ -1,19 +1,27 @@
 """Linear codes over R_k, quasitwisted constructions, and their binary Gray images.
 
-A code is handled through an explicit F2 basis of its module span: the
-R_k-span of generator rows equals the F2-span of all monomial multiples
-u_A * row, so row-reducing those (flattened to int bitsets, 2^k bits per
-coordinate) gives exact size and enumeration whether or not the module is
-free.  Binary images apply the Gray map to that F2 basis and row-reduce
-again.
+Codes are built on flat words: a ring vector packed into one int, 2^k
+bits per coordinate (bit idx(B) of coordinate i is bit i*2^k + idx(B)).
+Multiplication by a monomial u_A is F2-linear and acts alike on every
+coordinate, so on a flat word v it is (v & M_A) << A, where M_A keeps, in
+every coordinate, the bits u_B with B & A == 0: for disjoint A and B,
+u_A u_B = u_(A+B) and no bit crosses into the next coordinate.  The
+R_k-span of generator rows equals the F2-span of all u_A * row, so
+row-reducing those gives exact size and enumeration whether or not the
+module is free.  Binary images apply the Gray map, coordinate by
+coordinate, to that F2 basis and row-reduce again.  RingElement tuples
+appear only at the public boundary (QTCode generators, spanning_rows,
+codewords).
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
 global twisted shift T_lambda^ell acts as per-block multiplication by x,
-so codes built from twistulant generators are literally T_lambda^ell
-invariant and their binary images are literally (image_len * ell)-QC when
-lambda = 1.  qt_generator_matrix returns the block-concatenated display
-form, which differs from the span rows by the perfect-shuffle column
+which on a flat row f of ell*m coordinates of w bits is
+((f << ell*w) & full) | lambda*(f >> (m-1)*ell*w), so codes built from
+twistulant generators are literally T_lambda^ell invariant and their
+binary images are literally (image_len * ell)-QC when lambda = 1.
+qt_generator_matrix returns the block-concatenated display form of the
+same rows, which differs from the span rows by the perfect-shuffle column
 permutation only.
 """
 
@@ -25,7 +33,7 @@ from operator import methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import F2Span, rotate_bits, span_counts, span_iter
-from rkcodes.graymap import GrayMap
+from rkcodes.graymap import GrayMap, default_gray_map
 from rkcodes.polyqt import (
     Polynomial,
     RingVec,
@@ -34,7 +42,6 @@ from rkcodes.polyqt import (
     parse_element,
     parse_generator,
     poly_degree,
-    shift,
     shift_n,
 )
 from rkcodes.ring import RingElement, format_element, gamma, one
@@ -94,20 +101,36 @@ class ModuleSpan:
             yield unflatten_vec(flat, self.k, self.n)
 
 
+def _monomial_masks(k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(A, M_A) for every monomial u_A, with M_A repeated over n coordinates.
+
+    u_A * v is (v & M_A) << A on a flat word v of n coordinates.
+    """
+    w = 1 << k
+    repunit = ((1 << n * w) - 1) // ((1 << w) - 1)  # bit 0 of every coordinate
+    return tuple(
+        (a, sum(1 << b for b in range(w) if not a & b) * repunit) for a in range(w)
+    )
+
+
+def _span_of_flat(k: int, n: int, rows: Iterable[int]) -> ModuleSpan:
+    """F2 basis of the R_k-module generated by flat rows: all u_A * row."""
+    masks = _monomial_masks(k, n)
+    span = F2Span()
+    for flat in rows:
+        for a, mask in masks:
+            span.add((flat & mask) << a)
+    return ModuleSpan(k, n, span.basis())
+
+
 def module_span(rows: Sequence[Sequence[RingElement]]) -> ModuleSpan:
     """F2 basis of the R_k-module generated by the rows."""
     if not rows:
         raise ValueError("need at least one generator row")
-    k = rows[0][0].k
     n = len(rows[0])
-    span = F2Span()
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("generator rows have mixed lengths")
-        for mask in range(1 << k):
-            scalar = RingElement(k, 1 << mask)  # the monomial u_A
-            span.add(flatten_vec([scalar * e for e in row]))
-    return ModuleSpan(k, n, span.basis())
+    if any(len(row) != n for row in rows):
+        raise ValueError("generator rows have mixed lengths")
+    return _span_of_flat(rows[0][0].k, n, map(flatten_vec, rows))
 
 
 @dataclass(frozen=True)
@@ -179,33 +202,37 @@ def deinterleave(vec: Sequence[RingElement], ell: int) -> tuple[RingVec, ...]:
     return tuple(tuple(vec[i * ell + b] for i in range(m)) for b in range(ell))
 
 
-def spanning_rows(code: QTCode) -> tuple[RingVec, ...]:
-    """m interleaved rows per generator tuple: x^i times the generator."""
+def _flat_rows(code: QTCode) -> list[int]:
+    """m flat interleaved rows per generator tuple: x^i times the generator."""
+    step = code.ell << code.k  # bits of one coefficient position, all blocks
+    wrap = (code.m - 1) * step
+    full = (1 << (code.n << code.k)) - 1
+    lam = code.lam.coeffs
+    twist = [(a, mask) for a, mask in _monomial_masks(code.k, code.ell) if lam >> a & 1]
     rows = []
     for gen in code.generators:
-        blocks = tuple(tuple(b) for b in gen)
+        flat = flatten_vec(interleave(gen))
         for _ in range(code.m):
-            rows.append(interleave(blocks))
-            blocks = tuple(shift(b, code.lam) for b in blocks)
-    return tuple(rows)
+            rows.append(flat)
+            top = flat >> wrap  # coefficient m-1 of every block
+            flat = (flat << step) & full
+            for a, mask in twist:  # wraps around to coefficient 0 as lambda * top
+                flat ^= (top & mask) << a
+    return rows
+
+
+def spanning_rows(code: QTCode) -> tuple[RingVec, ...]:
+    """m interleaved rows per generator tuple: x^i times the generator."""
+    return tuple(unflatten_vec(flat, code.k, code.n) for flat in _flat_rows(code))
 
 
 def qt_generator_matrix(code: QTCode) -> tuple[RingVec, ...]:
     """Display form [G_1 | G_2 | ... | G_ell] with twistulant blocks."""
-    rows = []
-    for gen in code.generators:
-        blocks = tuple(tuple(b) for b in gen)
-        for _ in range(code.m):
-            row: tuple[RingElement, ...] = ()
-            for b in blocks:
-                row += b
-            rows.append(row)
-            blocks = tuple(shift(b, code.lam) for b in blocks)
-    return tuple(rows)
+    return tuple(sum(deinterleave(row, code.ell), ()) for row in spanning_rows(code))
 
 
 def code_span(code: QTCode) -> ModuleSpan:
-    return module_span(spanning_rows(code))
+    return _span_of_flat(code.k, code.n, _flat_rows(code))
 
 
 def enumerate_codewords(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> Iterator[RingVec]:
@@ -324,17 +351,18 @@ class BinaryCode:
 
 
 def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> BinaryCode:
-    gray = gray or GrayMap(span.k)
-    n_bits = 1 << span.k
-    mask = (1 << n_bits) - 1
+    gray = gray or default_gray_map(span.k)
+    w = 1 << span.k
+    mask = (1 << w) - 1
+    image = gray.word_image
+    places = [(i * w, i * gray.image_len) for i in range(span.n)]
     rows = []
     for flat in span.basis:
         img = 0
-        for i in range(span.n):
-            e = RingElement(span.k, (flat >> (i * n_bits)) & mask)
-            img |= gray.element_image(e) << (i * gray.image_len)
+        for src, dst in places:
+            img |= image(flat >> src & mask) << dst
         rows.append(img)
-    return BinaryCode.from_rows(span.n * gray.image_len, F2Span(rows).basis())
+    return BinaryCode.from_rows(span.n * gray.image_len, rows)
 
 
 def binary_image(

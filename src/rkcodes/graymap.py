@@ -19,6 +19,7 @@ index a maps to the evaluation vector "bit a of the coordinate index".
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Sequence
 
@@ -89,16 +90,23 @@ class GrayMap:
     def element_image(self, e: RingElement) -> int:
         if e.k != self.k:
             raise ValueError(f"element of R_{e.k} fed to a k={self.k} Gray map")
-        cached = self._element_cache.get(e.coeffs)
-        if cached is not None:
-            return cached
-        img = 0
-        c = e.coeffs
-        while c:
-            bit = c & -c
-            c ^= bit
-            img ^= self.basis_rows[bit.bit_length() - 1]
-        self._element_cache[e.coeffs] = img
+        return self.word_image(e.coeffs)
+
+    def word_image(self, coeffs: int) -> int:
+        """Image of the element with coefficient word coeffs, cached per word.
+
+        The cache fills with the words met, so wide rings (k >= 4) never
+        build a table of all 2^(2^k) images.
+        """
+        img = self._element_cache.get(coeffs)
+        if img is None:
+            img = 0
+            c = coeffs
+            while c:
+                bit = c & -c
+                c ^= bit
+                img ^= self.basis_rows[bit.bit_length() - 1]
+            self._element_cache[coeffs] = img
         return img
 
     def image(self, vec: Sequence[RingElement]) -> int:
@@ -175,6 +183,12 @@ class GrayMap:
         raise PermutationNotFoundError(
             f"no affine permutation realizes multiplication by {lam}"
         )
+
+
+@cache
+def default_gray_map(k: int) -> GrayMap:
+    """The shared GrayMap(k) (k <= K_MAX), so its image cache outlives one code."""
+    return GrayMap(k)
 
 
 def apply_permutation(perm: Sequence[int], bits: int, length: int) -> int:

@@ -181,11 +181,15 @@ def parse_block(text: str, k: int, notation: str | None = None) -> RingVec:
     return tuple(parse_element(tok, k, notation) for tok in tokens)
 
 
+def element_separator(k: int, notation: str | None = None) -> str:
+    """What separates the elements of a formatted block: "," in generic notation, else ""."""
+    return "," if (notation or default_notation(k)) == "generic" else ""
+
+
 def format_block(block: Sequence[RingElement], notation: str | None = None) -> str:
     if not block:
         raise ValueError("empty generator block")
-    notation = notation or default_notation(block[0].k)
-    sep = "," if notation == "generic" else ""
+    sep = element_separator(block[0].k, notation)
     return sep.join(format_element(e, notation) for e in block)
 
 

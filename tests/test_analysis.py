@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from rkcodes.analysis import (
@@ -159,6 +162,44 @@ def test_search_determinism_and_jobs_independence():
     assert config_hash(rnd) != config_hash(different_seed)
 
 
+# sha256 of json.dumps(search(config), sort_keys=True), recorded from the
+# string-based orbit check and RingElement code construction, so any change
+# to candidate order, orbit canonicalisation or tie-breaking shows here.
+PINNED_SEARCHES = [
+    (
+        SearchConfig(k=1, lam="3", ell=3, m_values=(2,)),
+        "e1ef6751e8793a3cf7dd0e8ef03b43d17c5014778f0f2e1828f507e547f7acb2",
+    ),
+    (
+        SearchConfig(k=2, lam="1", ell=1, m_values=(3,)),
+        "641e0b04ac15bbc9152f7cb79f7a8847b0b6526c3dfa00b533d4af1b0cd3caa5",
+    ),
+    (
+        SearchConfig(k=2, lam="1+u1+u1u2", ell=2, m_values=(3,), mode="random",
+                     samples=300, seed=3, notation="generic"),  # lambda = b
+        "cd56afe1c61494fc7afb16021ba98c84d31b823573876ed7e316f3094ff49050",
+    ),
+]
+
+
+@pytest.mark.parametrize("config, digest", PINNED_SEARCHES)
+def test_search_output_pinned(config, digest):
+    blob = json.dumps(search(config), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_search_reports_candidates_all_skipped_for_budget():
+    with pytest.raises(BudgetError, match="all 9 candidate"):
+        search(SearchConfig(k=1, ell=1, m_values=(2,), budget=0))
+
+
+def test_search_rejects_jobs_below_one():
+    cfg = SearchConfig(k=1, ell=1, m_values=(2,))
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match="jobs"):
+            search(cfg, jobs=jobs)
+
+
 def test_search_exhaustive_cap():
     cfg = SearchConfig(k=2, lam="1", ell=1, m_values=(8,), max_candidates_log2=28)
     with pytest.raises(BudgetError):
@@ -176,3 +217,6 @@ def test_search_config_validation():
         SearchConfig(k=1, m_values=(2, 0))
     with pytest.raises(ValueError):
         SearchConfig(k=1, mode="random", samples=0)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="Gray images"):
+            SearchConfig(k=k)

@@ -129,21 +129,26 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+EXIT_CASES = [  # (argv, exit code): work that is empty, malformed or all over budget
+    (("search", "--k", "1", "--ell", "0", "--m", "2"), 2),
+    (("search", "--k", "1", "--ell", "1", "--m", "0"), 2),
+    (("search", "--k", "1", "--ell", "1", "--m", "2", "--mode", "random", "--samples", "0"), 2),
+    (("verify-tables", "--tables", "9"), 2),
+    (("verify-tables", "--tables", ","), 2),
+    (("verify-tables", "--tables", "x"), 2),
+    (("search", "--k", "1", "--ell", "1", "--m", "2", "--budget", "0"), 3),
+    (("search", "--k", "1", "--ell", "1", "--m", "2", "--jobs", "0"), 2),
+    (("search", "--k", "1", "--ell", "1", "--m", "2", "--jobs", "-2"), 2),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ("search", "--k", "1", "--ell", "0", "--m", "2"),
-        ("search", "--k", "1", "--ell", "1", "--m", "0"),
-        ("search", "--k", "1", "--ell", "1", "--m", "2", "--mode", "random", "--samples", "0"),
-        ("verify-tables", "--tables", "9"),
-        ("verify-tables", "--tables", ","),
-        ("verify-tables", "--tables", "x"),
-    ],
+    "argv, code", EXIT_CASES, ids=[f"argv{i}" for i in range(len(EXIT_CASES))]
 )
-def test_empty_or_malformed_work_is_a_usage_error(capsys, argv):
+def test_empty_or_malformed_work_is_a_usage_error(capsys, argv, code):
     rc = main(list(argv))
     captured = capsys.readouterr()
-    assert rc == 2
+    assert rc == code
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     for internal in ("range()", "int()", "Traceback"):

@@ -62,7 +62,7 @@ def test_span_counts_matches_span_iter(rank):
     assert span_counts(basis, hamming) == Counter(map(int.bit_count, span_iter(basis)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(st.integers(0, (1 << 48) - 1), max_size=14))
 def test_span_counts_property(rows):
     basis = F2Span(rows).basis()
