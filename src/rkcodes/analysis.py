@@ -31,17 +31,8 @@ from rkcodes.codes import (
 )
 from rkcodes.gf2 import F2Span, span_counts
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import element_separator, format_generator
-from rkcodes.ring import (
-    K_MAX,
-    RingElement,
-    elements,
-    format_element,
-    gamma,
-    one,
-    parse_element,
-    zero,
-)
+from rkcodes.polyqt import element_separator
+from rkcodes.ring import K_MAX, RingElement, elements, format_element, gamma, one, parse_element, zero
 
 
 @dataclass(frozen=True)
@@ -284,37 +275,23 @@ def _digits_to_blocks(digits: Sequence[int], k: int, ell: int, m: int):
     )
 
 
-def _orbit_keys(k: int, ell: int, m: int, notation: str | None) -> list[list[int]]:
-    """Per digit position, the rank of format_element(c) + the separator after it.
-
-    The separator is "," inside a generic block, "|" after a block and ""
-    at the end.  A tuple of these ranks orders digit tuples as their
-    format_generator strings: separators sit at the same positions in every
-    tuple and no element token contains one, so the first differing token
-    decides both comparisons.
-    """
-    inner = element_separator(k, notation)
+def _orbit_tokens(k: int, ell: int, m: int, notation: str | None) -> list[list[str]]:
+    """Per digit position, format_element(c) + the separator format_generator puts after it."""
     texts = [format_element(e, notation) for e in elements(k)]
-
-    def ranks(sep: str) -> list[int]:
-        order = {t: r for r, t in enumerate(sorted(t + sep for t in texts))}
-        return [order[t + sep] for t in texts]
-
-    keys = ([ranks(inner)] * (m - 1) + [ranks("|")]) * ell
-    keys[-1] = ranks("")
-    return keys
+    inner = [t + element_separator(k, notation) for t in texts]
+    tokens = ([inner] * (m - 1) + [[t + "|" for t in texts]]) * ell
+    tokens[-1] = texts
+    return tokens
 
 
 def _orbit_min_string(
-    digits: Sequence[int], keys: list[list[int]], lam_times: list[int], m: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(candidate key, minimum key over the simultaneous-shift orbit).
+    digits: Sequence[int], tokens: list[list[str]], lam_times: list[int], m: int
+) -> tuple[str, str]:
+    """(candidate string, minimum string over the simultaneous-shift orbit).
 
     digits[b*m + i] is coefficient i of block b; lam_times[c] is lambda*c.
-    Keys are the _orbit_keys ranks, so they compare as the generator
-    strings would.
     """
-    first = tuple(map(list.__getitem__, keys, digits))
+    first = "".join(map(list.__getitem__, tokens, digits))
     best = first
     twisted = [lam_times[c] for c in digits]
     for s in range(1, m):  # s twisted shifts of every block
@@ -322,24 +299,21 @@ def _orbit_min_string(
         for lo in range(0, len(digits), m):
             member += twisted[lo + m - s : lo + m]
             member += digits[lo : lo + m - s]
-        key = tuple(map(list.__getitem__, keys, member))
-        if key < best:
-            best = key
+        text = "".join(map(list.__getitem__, tokens, member))
+        if text < best:
+            best = text
     return first, best
 
 
 def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
-    """Best (d, generator string) per (length, dimension) cell for one chunk.
-
-    Also returns how many candidates were skipped for the codeword budget.
-    """
+    """Best (d, generator string) per (length, dimension) cell, and the budget skips, for one chunk."""
     k = payload["k"]
     ell = payload["ell"]
     m = payload["m"]
     budget = payload["budget"]
     notation = payload["notation"]
     lam = parse_element(payload["lam"], k, notation)
-    keys = _orbit_keys(k, ell, m, notation)
+    tokens = _orbit_tokens(k, ell, m, notation)
     lam_times = [(lam * e).coeffs for e in elements(k)]
     size = 1 << (1 << k)
     if "index_range" in payload:
@@ -364,8 +338,8 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
     for digits in candidates():
         if not any(digits):
             continue
-        key, orbit_min = _orbit_min_string(digits, keys, lam_times, m)
-        if key != orbit_min:
+        gen_str, orbit_min = _orbit_min_string(digits, tokens, lam_times, m)
+        if gen_str != orbit_min:
             continue  # a shift-equivalent candidate was or will be seen
         blocks = _digits_to_blocks(digits, k, ell, m)
         code = QTCode(lam, ell, m, (blocks,))
@@ -375,7 +349,6 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
         except BudgetError:
             skipped += 1
             continue
-        gen_str = format_generator(blocks, notation)
         cell = (img.length, img.rank)
         cur = best.get(cell)
         if cur is None or d > cur[0] or (d == cur[0] and gen_str < cur[1]):

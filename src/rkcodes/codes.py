@@ -1,28 +1,22 @@
 """Linear codes over R_k, quasitwisted constructions, and their binary Gray images.
 
-Codes are built on flat words: a ring vector packed into one int, 2^k
-bits per coordinate (bit idx(B) of coordinate i is bit i*2^k + idx(B)).
-Multiplication by a monomial u_A is F2-linear and acts alike on every
-coordinate, so on a flat word v it is (v & M_A) << A, where M_A keeps, in
-every coordinate, the bits u_B with B & A == 0: for disjoint A and B,
-u_A u_B = u_(A+B) and no bit crosses into the next coordinate.  The
-R_k-span of generator rows equals the F2-span of all u_A * row, so
-row-reducing those gives exact size and enumeration whether or not the
-module is free.  Binary images apply the Gray map, coordinate by
-coordinate, to that F2 basis and row-reduce again.  RingElement tuples
-appear only at the public boundary (QTCode generators, spanning_rows,
-codewords).
+Codes are built on flat words: a ring vector packed into one int, 2^k bits
+per coordinate.  Multiplication by a monomial u_A acts alike on every
+coordinate, so on a flat word v it is (v & M_A) << A, where M_A keeps the
+bits u_B with B & A == 0 (then u_A u_B = u_(A+B) and no bit crosses into
+the next coordinate).  The R_k-span of generator rows equals the F2-span
+of all u_A * row, so row-reducing those gives exact size and enumeration
+whether or not the module is free.  Binary images apply the Gray map to
+that F2 basis and row-reduce again.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
 global twisted shift T_lambda^ell acts as per-block multiplication by x,
-which on a flat row f of ell*m coordinates of w bits is
-((f << ell*w) & full) | lambda*(f >> (m-1)*ell*w), so codes built from
-twistulant generators are literally T_lambda^ell invariant and their
-binary images are literally (image_len * ell)-QC when lambda = 1.
-qt_generator_matrix returns the block-concatenated display form of the
-same rows, which differs from the span rows by the perfect-shuffle column
-permutation only.
+so codes built from twistulant generators are literally T_lambda^ell
+invariant and their binary images are literally (image_len * ell)-QC when
+lambda = 1.  qt_generator_matrix returns the block-concatenated display
+form of the same rows, which differs from the span rows by the
+perfect-shuffle column permutation only.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from operator import methodcaller
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import F2Span, rotate_bits, span_counts, span_iter
-from rkcodes.graymap import GrayMap, default_gray_map
+from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import (
     Polynomial,
     RingVec,
@@ -102,15 +96,10 @@ class ModuleSpan:
 
 
 def _monomial_masks(k: int, n: int) -> tuple[tuple[int, int], ...]:
-    """(A, M_A) for every monomial u_A, with M_A repeated over n coordinates.
-
-    u_A * v is (v & M_A) << A on a flat word v of n coordinates.
-    """
+    """(A, M_A) for every monomial u_A, with M_A repeated over n coordinates."""
     w = 1 << k
     repunit = ((1 << n * w) - 1) // ((1 << w) - 1)  # bit 0 of every coordinate
-    return tuple(
-        (a, sum(1 << b for b in range(w) if not a & b) * repunit) for a in range(w)
-    )
+    return tuple((a, sum(1 << b for b in range(w) if not a & b) * repunit) for a in range(w))
 
 
 def _span_of_flat(k: int, n: int, rows: Iterable[int]) -> ModuleSpan:
@@ -127,10 +116,12 @@ def module_span(rows: Sequence[Sequence[RingElement]]) -> ModuleSpan:
     """F2 basis of the R_k-module generated by the rows."""
     if not rows:
         raise ValueError("need at least one generator row")
-    n = len(rows[0])
+    k, n = rows[0][0].k, len(rows[0])
     if any(len(row) != n for row in rows):
         raise ValueError("generator rows have mixed lengths")
-    return _span_of_flat(rows[0][0].k, n, map(flatten_vec, rows))
+    if any(e.k != k for row in rows for e in row):
+        raise ValueError("mixed ring parameters")
+    return _span_of_flat(k, n, map(flatten_vec, rows))
 
 
 @dataclass(frozen=True)
@@ -351,7 +342,7 @@ class BinaryCode:
 
 
 def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> BinaryCode:
-    gray = gray or default_gray_map(span.k)
+    gray = gray or GrayMap(span.k)
     w = 1 << span.k
     mask = (1 << w) - 1
     image = gray.word_image

@@ -19,7 +19,6 @@ index a maps to the evaluation vector "bit a of the coordinate index".
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import product
 from typing import Sequence
 
@@ -93,20 +92,17 @@ class GrayMap:
         return self.word_image(e.coeffs)
 
     def word_image(self, coeffs: int) -> int:
-        """Image of the element with coefficient word coeffs, cached per word.
-
-        The cache fills with the words met, so wide rings (k >= 4) never
-        build a table of all 2^(2^k) images.
-        """
-        img = self._element_cache.get(coeffs)
-        if img is None:
-            img = 0
-            c = coeffs
-            while c:
-                bit = c & -c
-                c ^= bit
-                img ^= self.basis_rows[bit.bit_length() - 1]
-            self._element_cache[coeffs] = img
+        """Image of the element with coefficient word coeffs, cached per word met."""
+        cached = self._element_cache.get(coeffs)
+        if cached is not None:
+            return cached
+        img = 0
+        c = coeffs
+        while c:
+            bit = c & -c
+            c ^= bit
+            img ^= self.basis_rows[bit.bit_length() - 1]
+        self._element_cache[coeffs] = img
         return img
 
     def image(self, vec: Sequence[RingElement]) -> int:
@@ -183,12 +179,6 @@ class GrayMap:
         raise PermutationNotFoundError(
             f"no affine permutation realizes multiplication by {lam}"
         )
-
-
-@cache
-def default_gray_map(k: int) -> GrayMap:
-    """The shared GrayMap(k) (k <= K_MAX), so its image cache outlives one code."""
-    return GrayMap(k)
 
 
 def apply_permutation(perm: Sequence[int], bits: int, length: int) -> int:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkcodes.analysis import _orbit_keys, _orbit_min_string
+from rkcodes.analysis import _orbit_min_string, _orbit_tokens
 from rkcodes.codes import (
     BinaryCode,
     QTCode,
@@ -58,6 +58,13 @@ def random_vec(rng: random.Random, k: int, n: int, alphabet=None):
     size = 1 << (1 << k)
     alphabet = alphabet or range(size)
     return tuple(RingElement(k, rng.choice(alphabet)) for _ in range(n))
+
+
+def test_module_span_rejects_mixed_rings():
+    with pytest.raises(ValueError, match="mixed ring"):
+        module_span([(RingElement(1, 1),), (RingElement(2, 1),)])
+    with pytest.raises(ValueError, match="mixed ring"):
+        module_span([(RingElement(2, 1), RingElement(1, 1))])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -147,61 +154,24 @@ ORBIT_SHAPES = [  # (k, notation, ell, m)
 
 @st.composite
 def orbit_cases(draw):
-    """A shape, a unit lambda and two digit tuples that first differ at a drawn position."""
+    """A shape, a unit lambda and a digit tuple."""
     k, notation, ell, m = draw(st.sampled_from(ORBIT_SHAPES))
     size = 1 << (1 << k)
     # Small digits collide more often, so ties and prefix tokens get tested.
     digit = st.integers(0, size - 1) | st.integers(0, 3)
-    a = draw(st.lists(digit, min_size=ell * m, max_size=ell * m))
-    j = draw(st.integers(0, ell * m - 1))
-    rest = ell * m - j - 1
-    b = a[:j] + [draw(digit)] + draw(st.lists(digit, min_size=rest, max_size=rest))
+    digits = draw(st.lists(digit, min_size=ell * m, max_size=ell * m))
     lam = draw(st.integers(0, size // 2 - 1)) * 2 + 1
-    return k, notation, ell, m, RingElement(k, lam), a, b
-
-
-def blocks_of(digits, k, ell, m):
-    return tuple(tuple(RingElement(k, digits[b * m + i]) for i in range(m)) for b in range(ell))
+    return k, notation, ell, m, RingElement(k, lam), digits
 
 
 @given(orbit_cases())
-def test_orbit_keys_order_as_generator_strings(case):
-    k, notation, ell, m, lam, a, b = case
-    keys = _orbit_keys(k, ell, m, notation)
+def test_orbit_min_string_matches_formatted_orbit(case):
+    k, notation, ell, m, lam, digits = case
+    tokens = _orbit_tokens(k, ell, m, notation)
     lam_times = [(lam * RingElement(k, c)).coeffs for c in range(1 << (1 << k))]
-    key_a, min_a = _orbit_min_string(a, keys, lam_times, m)
-    key_b, _ = _orbit_min_string(b, keys, lam_times, m)
-    str_a = format_generator(blocks_of(a, k, ell, m), notation)
-    str_b = format_generator(blocks_of(b, k, ell, m), notation)
-    assert (key_a < key_b, key_a == key_b) == (str_a < str_b, str_a == str_b)
-    first, best = oracle_orbit_min_string(blocks_of(a, k, ell, m), lam, notation)
-    assert (key_a == min_a) == (first == best)
-
-
-@pytest.mark.parametrize(
-    "k, notation, ell, m",
-    [(1, "r1", 2, 2), (2, "hex", 2, 2), (2, "generic", 2, 2), (3, "generic", 1, 2)],
-)
-def test_orbit_keys_order_every_token_pair(k, notation, ell, m):
-    """Two tuples first differing at position j, for every j and every pair of elements there.
-
-    Covers the generic case where one token is a prefix of another
-    ("u1" and "u1+u2") at every kind of position: inside a block, at a
-    block end and at the end of the string.
-    """
-    size = 1 << (1 << k)
-    keys = _orbit_keys(k, ell, m, notation)
-    identity = list(range(size))
-    n = ell * m
-    pairs = [(x, y) for x in range(size) for y in range(size)]
-    if k == 3:
-        pairs = random.Random(5).sample(pairs, 3000)
-    for j in range(n):
-        for x, y in pairs:
-            a = [1] * j + [x] + [0] * (n - j - 1)
-            b = [1] * j + [y] + [size - 1] * (n - j - 1)
-            key_a, _ = _orbit_min_string(a, keys, identity, m)
-            key_b, _ = _orbit_min_string(b, keys, identity, m)
-            str_a = format_generator(blocks_of(a, k, ell, m), notation)
-            str_b = format_generator(blocks_of(b, k, ell, m), notation)
-            assert (key_a < key_b) == (str_a < str_b), (str_a, str_b)
+    blocks = tuple(
+        tuple(RingElement(k, digits[b * m + i]) for i in range(m)) for b in range(ell)
+    )
+    assert _orbit_min_string(digits, tokens, lam_times, m) == oracle_orbit_min_string(
+        blocks, lam, notation
+    )
