@@ -25,11 +25,11 @@ from rkcodes.codes import (
     code_span,
     flatten_vec,
     grade_scaled,
-    hom_weigher,
+    hom_counts,
     residue_word,
     unflatten_vec,
 )
-from rkcodes.gf2 import F2Span, span_counts
+from rkcodes.gf2 import F2Span
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import element_separator
 from rkcodes.ring import K_MAX, RingElement, elements, format_element, gamma, one, parse_element, zero
@@ -172,11 +172,10 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     joint = F2Span(residue_word(b, k, n) | b << n for b in span.basis).basis()
     res = BinaryCode.from_rows(n, [r & low for r in joint if r & low])
     kernel = [r >> n for r in joint if not r & low]
-    weigh = hom_weigher(k, n)
-    counts = span_counts(span.basis, weigh)
-    nonkernel = counts - span_counts(kernel, weigh)
-    d_hom = g * min(w for w in counts if w) if span.rank else None
-    d_nonkernel = g * min(nonkernel) if nonkernel else None
+    counts = hom_counts(k, n, span.basis)
+    nonkernel = counts - hom_counts(k, n, kernel)
+    d_hom = min(w for w in counts if w) if span.rank else None
+    d_nonkernel = min(nonkernel) if nonkernel else None
     d_res = res.min_distance(budget) if res.rank else None
     lower = g * d_res if d_res is not None else None
     upper = 2 * g * d_res if d_res is not None else None

@@ -9,6 +9,12 @@ of all u_A * row, so row-reducing those gives exact size and enumeration
 whether or not the module is free.  Binary images apply the Gray map to
 that F2 basis and row-reduce again.
 
+Homogeneous weights are taken on the ring side, independently of the Gray
+map, through the generating character chi: w(x) = #{u in U : chi(u*x) = -1}
+(ring.character_table).  That count is the popcount of an F2-linear image
+of x, so the basis rows are mapped once, coordinate by coordinate, and the
+span of the mapped rows is weighed by int.bit_count like a binary image.
+
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
 global twisted shift T_lambda^ell acts as per-block multiplication by x,
@@ -21,9 +27,9 @@ perfect-shuffle column permutation only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
-from operator import methodcaller
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import F2Span, rotate_bits, span_counts, span_iter
@@ -38,7 +44,15 @@ from rkcodes.polyqt import (
     poly_degree,
     shift_n,
 )
-from rkcodes.ring import RingElement, format_element, gamma, one
+from rkcodes.ring import (
+    K_MAX,
+    RingElement,
+    character_table,
+    format_element,
+    hom_weight_vec,
+    one,
+    unit_count,
+)
 
 DEFAULT_BUDGET_LOG2 = 24
 
@@ -341,18 +355,25 @@ class BinaryCode:
         return span_iter(self.rows)
 
 
-def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> BinaryCode:
-    gray = gray or GrayMap(span.k)
-    w = 1 << span.k
+def _map_coordinates(
+    k: int, n: int, basis: Sequence[int], lookup: Callable[[int], int], width: int
+) -> list[int]:
+    """Flat rows with each R_k coordinate x replaced by lookup(x), width bits wide."""
+    w = 1 << k
     mask = (1 << w) - 1
-    image = gray.word_image
-    places = [(i * w, i * gray.image_len) for i in range(span.n)]
+    places = [(i * w, i * width) for i in range(n)]
     rows = []
-    for flat in span.basis:
+    for flat in basis:
         img = 0
         for src, dst in places:
-            img |= image(flat >> src & mask) << dst
+            img |= lookup(flat >> src & mask) << dst
         rows.append(img)
+    return rows
+
+
+def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> BinaryCode:
+    gray = gray or GrayMap(span.k)
+    rows = _map_coordinates(span.k, span.n, span.basis, gray.word_image, gray.image_len)
     return BinaryCode.from_rows(span.n * gray.image_len, rows)
 
 
@@ -364,41 +385,23 @@ def binary_image(
     return binary_image_of_span(span, gray)
 
 
-def _gamma_weight(flat: int, k: int, width: int) -> int:
-    """Homogeneous weight, in units of gamma, of the R_k coordinates in the low width bits."""
-    bits = 1 << k
-    mask = (1 << bits) - 1
-    weights = (RingElement(k, (flat >> s) & mask).hom_weight() for s in range(0, width, bits))
-    return sum(weights) // gamma(k)
+def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
+    """Homogeneous weight -> count over the F2-span of flat length-n words over R_k.
 
-
-@cache
-def _hom_byte_weights(k: int) -> bytes:
-    return bytes(_gamma_weight(b, k, 8) for b in range(256))
-
-
-def hom_weigher(k: int, n: int) -> Callable[[Iterator[int]], Iterable[int]]:
-    """span_counts weigher: homogeneous weight, in units of gamma(k), of flat length-n words.
-
-    For k <= 3 a coordinate fits in a byte, so a word is weighed by one
-    bytes.translate through a 256-entry table (built once per k) and a sum;
-    wider coordinates are weighed one at a time.
+    For k <= K_MAX the basis rows go through ring.character_table (see the
+    module docstring); wider coordinates are weighed one RingElement at a time.
     """
-    width = n << k
-    if k <= 3:
-        to_bytes = methodcaller("to_bytes", (width + 7) // 8, "little")
-        translate = methodcaller("translate", _hom_byte_weights(k))
-        return lambda words: map(sum, map(translate, map(to_bytes, words)))
-    return partial(map, partial(_gamma_weight, k=k, width=width))
+    if k <= K_MAX:
+        rows = _map_coordinates(k, n, basis, character_table(k).__getitem__, unit_count(k))
+        return span_counts(rows, partial(map, int.bit_count))
+    return span_counts(basis, partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n))))
 
 
 def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
     """Homogeneous weight distribution, computed on the ring side."""
     span = code_span(code)
     _check_budget(span.rank, budget)
-    g = gamma(span.k)
-    counts = span_counts(span.basis, hom_weigher(span.k, span.n))
-    return WeightEnumerator({g * w: c for w, c in counts.items()})
+    return WeightEnumerator(hom_counts(span.k, span.n, span.basis))
 
 
 def residue_word(flat: int, k: int, n: int) -> int:

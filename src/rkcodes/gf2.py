@@ -78,9 +78,9 @@ def span_counts(
     every combination h of the remaining rows (in span_iter order) then
     contributes the block h ^ block.  weigh receives each block as an
     iterator of words and returns one weight per word, so a weigher built
-    from map() over C-level callables (int.bit_count, bytes.translate, sum)
-    costs a few C calls per word and one Python iteration per 2^LOW_ROWS
-    words.  Memory is one block, whatever the rank.
+    from map() over a C-level callable such as int.bit_count costs a few C
+    calls per word and one Python iteration per 2^LOW_ROWS words.  Memory
+    is one block, whatever the rank.
     """
     block = [0]
     for row in basis[:LOW_ROWS]:

@@ -139,6 +139,9 @@ EXIT_CASES = [  # (argv, exit code): work that is empty, malformed or all over b
     (("search", "--k", "1", "--ell", "1", "--m", "2", "--budget", "0"), 3),
     (("search", "--k", "1", "--ell", "1", "--m", "2", "--jobs", "0"), 2),
     (("search", "--k", "1", "--ell", "1", "--m", "2", "--jobs", "-2"), 2),
+    (("image", "--k", "4", "--gen", "1"), 2),
+    (("wd", "--k", "4", "--gen", "1", "--notation", "generic"), 2),
+    (("gray", "--k", "4", "1"), 2),
 ]
 
 
@@ -151,7 +154,7 @@ def test_empty_or_malformed_work_is_a_usage_error(capsys, argv, code):
     assert rc == code
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    for internal in ("range()", "int()", "Traceback"):
+    for internal in ("range()", "int()", "Traceback", "allow_above_k_max"):
         assert internal not in captured.err
 
 

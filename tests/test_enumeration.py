@@ -15,8 +15,10 @@ from rkcodes.codes import (
     QTCode,
     WeightEnumerator,
     code_span,
+    hom_counts,
     hom_weight_enumerator,
     residue_code,
+    unflatten_vec,
 )
 from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_iter
 from rkcodes.ring import RingElement, gamma, units
@@ -83,11 +85,24 @@ def test_hom_weight_enumerator_matches_ring_weights(k):
 
 
 def test_hom_weight_enumerator_wide_coordinates():
-    # R_4 coordinates are 16 bits wide, past the byte table.
+    # R_4 is past K_MAX: no character table, coordinates weighed one at a time.
     code = QTCode.from_strings(4, ["u1u2,u3u4+u1u2u3u4"], notation="generic")
     enum = hom_weight_enumerator(code)
     assert enum == oracle_hom_enumerator(code)
     assert enum[2 * gamma(4)] > 0  # the top monomial is reached
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_hom_counts_matches_per_word_weights(data):
+    # any F2 basis of flat words, not only R_k-modules: the character map is F2-linear
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(16 >> k, 24 >> k))
+    rank = data.draw(st.sampled_from((0, 1, LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, LOW_ROWS + 3)))
+    rows = data.draw(st.lists(st.integers(0, (1 << (n << k)) - 1), min_size=rank, max_size=rank))
+    basis = F2Span(rows).basis()
+    words = (unflatten_vec(flat, k, n) for flat in span_iter(basis))
+    assert hom_counts(k, n, basis) == Counter(sum(e.hom_weight() for e in word) for word in words)
 
 
 def oracle_bound_check(code: QTCode) -> dict:
@@ -143,6 +158,8 @@ def oracle_bound_check(code: QTCode) -> dict:
 def test_bound_check_matches_per_word_loop():
     codes = random_codes(2024, 60)
     assert any(code_span(c).rank > LOW_ROWS for c in codes)
+    # past K_MAX: no character table, coordinates weighed one at a time
+    codes.append(QTCode.from_strings(4, ["1+u1|u2u3"], notation="generic"))
     for code in codes:
         assert bound_check(code) == oracle_bound_check(code), code
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 from rkcodes.ring import (
+    K_MAX,
     RingElement,
+    character_table,
     character_unit_sum,
     elements,
     format_element,
@@ -167,6 +169,29 @@ def test_character_unit_sum_matches_closed_form_weight():
             numerator = gamma(k) * (n_units - character_unit_sum(x))
             assert numerator % n_units == 0
             assert numerator // n_units == x.hom_weight()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_character_table_weighs_every_element(k):
+    table = character_table(k)
+    n_units = unit_count(k)
+    assert len(table) == 1 << (1 << k)
+    for x in elements(k):
+        entry = table[x.coeffs]
+        assert entry.bit_count() == x.hom_weight()
+        numerator = gamma(k) * (n_units - character_unit_sum(x))
+        assert numerator % n_units == 0
+        assert entry.bit_count() == numerator // n_units
+        assert entry < 1 << n_units
+        # built by linearity from the monomials; compare with one product per unit
+        assert entry == sum(((u * x).character() == -1) << j for j, u in enumerate(units(k)))
+    assert table[top(k).coeffs] == (1 << n_units) - 1  # the full width is used
+
+
+@pytest.mark.parametrize("k", [0, K_MAX + 1])
+def test_character_table_rejects_k_outside_range(k):
+    with pytest.raises(ValueError, match="character tables exist"):
+        character_table(k)
 
 
 def test_full_ring_character_sum_vanishes():
