@@ -9,6 +9,7 @@ import json
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Sequence
 
@@ -30,7 +31,6 @@ from rkcodes.codes import (
     unflatten_vec,
 )
 from rkcodes.gf2 import F2Span
-from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import element_separator
 from rkcodes.ring import K_MAX, RingElement, elements, format_element, gamma, one, parse_element, zero
 
@@ -211,7 +211,6 @@ def table1_qc6_report(budget: int = DEFAULT_BUDGET_LOG2) -> list[dict]:
     For odd coindex the scaled code is the QC form of the QT code, so the
     check is guaranteed; for even coindex the outcome is reported as found.
     """
-    gray = GrayMap(1)
     out = []
     for row in load_table_rows((1,)):
         code = build_row_code(row)
@@ -220,7 +219,7 @@ def table1_qc6_report(budget: int = DEFAULT_BUDGET_LOG2) -> list[dict]:
             flatten_vec(grade_scaled(unflatten_vec(b, 1, span.n), code.lam, code.ell))
             for b in span.basis
         )
-        img = binary_image_of_span(ModuleSpan(1, span.n, scaled.basis()), gray)
+        img = binary_image_of_span(ModuleSpan(1, span.n, scaled.basis()))
         out.append(
             {
                 "m": row.m,
@@ -268,10 +267,9 @@ def config_hash(config: SearchConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _digits_to_blocks(digits: Sequence[int], k: int, ell: int, m: int):
-    return tuple(
-        tuple(RingElement(k, digits[b * m + i]) for i in range(m)) for b in range(ell)
-    )
+def _digits_to_blocks(digits: Sequence[int], ring: tuple[RingElement, ...], ell: int, m: int):
+    """Generator blocks of a digit tuple; ring[c] is the element with coefficient word c."""
+    return tuple(tuple(map(ring.__getitem__, digits[lo : lo + m])) for lo in range(0, ell * m, m))
 
 
 def _orbit_tokens(k: int, ell: int, m: int, notation: str | None) -> list[list[str]]:
@@ -283,6 +281,24 @@ def _orbit_tokens(k: int, ell: int, m: int, notation: str | None) -> list[list[s
     return tokens
 
 
+@lru_cache(maxsize=64)
+def _shift_permutations(positions: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """For s = 1..m-1, where each digit of the s-fold twisted shift comes from.
+
+    Indices point into digits + [lambda*c for c in digits]: coefficient i of
+    a block shifted s times is coefficient i - s, or lambda times
+    coefficient m + i - s when i < s.
+    """
+    return tuple(
+        tuple(
+            positions + lo + m - s + i if i < s else lo + i - s
+            for lo in range(0, positions, m)
+            for i in range(m)
+        )
+        for s in range(1, m)
+    )
+
+
 def _orbit_min_string(
     digits: Sequence[int], tokens: list[list[str]], lam_times: list[int], m: int
 ) -> tuple[str, str]:
@@ -292,13 +308,9 @@ def _orbit_min_string(
     """
     first = "".join(map(list.__getitem__, tokens, digits))
     best = first
-    twisted = [lam_times[c] for c in digits]
-    for s in range(1, m):  # s twisted shifts of every block
-        member: list[int] = []
-        for lo in range(0, len(digits), m):
-            member += twisted[lo + m - s : lo + m]
-            member += digits[lo : lo + m - s]
-        text = "".join(map(list.__getitem__, tokens, member))
+    both = [*digits, *map(lam_times.__getitem__, digits)]
+    for perm in _shift_permutations(len(digits), m):
+        text = "".join(map(list.__getitem__, tokens, map(both.__getitem__, perm)))
         if text < best:
             best = text
     return first, best
@@ -313,7 +325,8 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
     notation = payload["notation"]
     lam = parse_element(payload["lam"], k, notation)
     tokens = _orbit_tokens(k, ell, m, notation)
-    lam_times = [(lam * e).coeffs for e in elements(k)]
+    ring = tuple(elements(k))
+    lam_times = [(lam * e).coeffs for e in ring]
     size = 1 << (1 << k)
     if "index_range" in payload:
         lo, hi = payload["index_range"]
@@ -340,7 +353,7 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
         gen_str, orbit_min = _orbit_min_string(digits, tokens, lam_times, m)
         if gen_str != orbit_min:
             continue  # a shift-equivalent candidate was or will be seen
-        blocks = _digits_to_blocks(digits, k, ell, m)
+        blocks = _digits_to_blocks(digits, ring, ell, m)
         code = QTCode(lam, ell, m, (blocks,))
         try:
             img = binary_image(code, budget)

@@ -121,6 +121,8 @@ def _codes_from_args(args: argparse.Namespace) -> list[QTCode]:
     gens = list(args.gen)
     if gens == ["-"]:
         lines = [line.strip() for line in sys.stdin if line.strip()]
+        if not lines:
+            raise ValueError("no generator lines on stdin")
         return [
             QTCode.from_strings(args.k, [line], lam=args.lam, ell=args.ell,
                                 m=args.m, notation=args.notation)
@@ -320,6 +322,8 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {args.budget}")
         return _COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,16 @@ bits u_B with B & A == 0 (then u_A u_B = u_(A+B) and no bit crosses into
 the next coordinate).  The R_k-span of generator rows equals the F2-span
 of all u_A * row, so row-reducing those gives exact size and enumeration
 whether or not the module is free.  Binary images apply the Gray map to
-that F2 basis and row-reduce again.
+that F2 basis and row-reduce again.  For k <= K_MAX a coordinate has 2, 4
+or 8 bits, so every byte of a flat word holds whole coordinates, and a row
+is mapped byte by byte through a 256-entry table built once per k.
 
 Homogeneous weights are taken on the ring side, independently of the Gray
 map, through the generating character chi: w(x) = #{u in U : chi(u*x) = -1}
 (ring.character_table).  That count is the popcount of an F2-linear image
-of x, so the basis rows are mapped once, coordinate by coordinate, and the
-span of the mapped rows is weighed by int.bit_count like a binary image.
+of x, so the basis rows are mapped once, through a byte table of the same
+kind, and the span of the mapped rows is weighed by int.bit_count like a
+binary image.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -29,10 +32,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from functools import cached_property, lru_cache, partial
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from rkcodes.gf2 import F2Span, rotate_bits, span_counts, span_iter
+from rkcodes.gf2 import F2Span, rotate_bits, span_counts, span_iter, span_min_weight
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import (
     Polynomial,
@@ -109,6 +112,7 @@ class ModuleSpan:
             yield unflatten_vec(flat, self.k, self.n)
 
 
+@lru_cache(maxsize=256)
 def _monomial_masks(k: int, n: int) -> tuple[tuple[int, int], ...]:
     """(A, M_A) for every monomial u_A, with M_A repeated over n coordinates."""
     w = 1 << k
@@ -330,7 +334,7 @@ class BinaryCode:
         _check_budget(self.rank, budget)
         if self.rank == 0:
             raise ValueError("the zero code has no minimum distance")
-        return min(w for w in self._weight_counts if w > 0)
+        return span_min_weight(self.rows)
 
     def is_self_orthogonal(self) -> bool:
         rows = self.rows
@@ -355,26 +359,69 @@ class BinaryCode:
         return span_iter(self.rows)
 
 
-def _map_coordinates(
-    k: int, n: int, basis: Sequence[int], lookup: Callable[[int], int], width: int
-) -> list[int]:
-    """Flat rows with each R_k coordinate x replaced by lookup(x), width bits wide."""
-    w = 1 << k
-    mask = (1 << w) - 1
-    places = [(i * w, i * width) for i in range(n)]
-    rows = []
-    for flat in basis:
+@lru_cache(maxsize=2 * K_MAX)
+def _byte_table(k: int, character: bool) -> bytes | tuple[bytes, ...]:
+    """Image of every byte of a flat word over R_k, k <= K_MAX.
+
+    A byte holds 8 >> k whole coordinates; each goes to its Gray image or,
+    with character=True, to its ring.character_table entry.  Both maps are
+    unit_count(k) bits wide and fixed per k.  For k = 1 one byte goes to
+    one byte, so the table is a bytes.translate table; otherwise entry b
+    is the bytes that byte b goes to.
+    """
+    lookup = character_table(k).__getitem__ if character else GrayMap(k).word_image
+    w, width = 1 << k, unit_count(k)
+    per_byte = 8 >> k
+    images = []
+    for b in range(256):
         img = 0
-        for src, dst in places:
-            img |= lookup(flat >> src & mask) << dst
-        rows.append(img)
-    return rows
+        for c in range(per_byte):
+            img |= lookup(b >> c * w & (1 << w) - 1) << c * width
+        images.append(img.to_bytes(per_byte * width // 8, "little"))
+    return b"".join(images) if k == 1 else tuple(images)
+
+
+def _map_coordinates(k: int, n: int, basis: Sequence[int], character: bool) -> list[int]:
+    """Flat rows with each R_k coordinate replaced by its Gray image or character entry.
+
+    Each row goes to bytes, through _byte_table and back.  Both maps send 0
+    to 0, so the zero coordinates that pad the last byte stay zero.
+    """
+    table = _byte_table(k, character)
+    size = ((n << k) + 7) >> 3
+    if k == 1:
+        return [
+            int.from_bytes(flat.to_bytes(size, "little").translate(table), "little")
+            for flat in basis
+        ]
+    get = table.__getitem__
+    return [
+        int.from_bytes(b"".join(map(get, flat.to_bytes(size, "little"))), "little")
+        for flat in basis
+    ]
 
 
 def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> BinaryCode:
-    gray = gray or GrayMap(span.k)
-    rows = _map_coordinates(span.k, span.n, span.basis, gray.word_image, gray.image_len)
-    return BinaryCode.from_rows(span.n * gray.image_len, rows)
+    """Binary Gray image of a span.
+
+    Every GrayMap(k) with k <= K_MAX is the same map, so those spans go
+    through one byte table per k whatever gray is passed; wider rings (a
+    GrayMap built with allow_above_k_max) map one coordinate at a time.
+    """
+    k, n = span.k, span.n
+    if k <= K_MAX:
+        return BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, span.basis, False))
+    gray = gray or GrayMap(k)
+    w = 1 << k
+    mask = (1 << w) - 1
+    places = [(i * w, i * gray.image_len) for i in range(n)]
+    rows = []
+    for flat in span.basis:
+        img = 0
+        for src, dst in places:
+            img |= gray.word_image(flat >> src & mask) << dst
+        rows.append(img)
+    return BinaryCode.from_rows(n * gray.image_len, rows)
 
 
 def binary_image(
@@ -392,8 +439,7 @@ def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
     module docstring); wider coordinates are weighed one RingElement at a time.
     """
     if k <= K_MAX:
-        rows = _map_coordinates(k, n, basis, character_table(k).__getitem__, unit_count(k))
-        return span_counts(rows, partial(map, int.bit_count))
+        return span_counts(_map_coordinates(k, n, basis, True), partial(map, int.bit_count))
     return span_counts(basis, partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n))))
 
 
@@ -479,7 +525,7 @@ def code_record(
         "image": {
             "length": img.length,
             "dimension": img.rank,
-            "min_distance": img.min_distance(budget) if img.rank else None,
+            "min_distance": enum.min_nonzero(),
             "weight_enumerator": [list(p) for p in enum.pairs()],
         },
         "flags": {

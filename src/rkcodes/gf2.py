@@ -13,19 +13,24 @@ class F2Span:
 
     Pivot of a row is its lowest set bit; rows are back-eliminated so no row
     contains another's pivot.  basis() is therefore a canonical form of the
-    row space: two spans are equal iff their bases are equal.
+    row space: two spans are equal iff their bases are equal.  Because of
+    that, reducing v touches only the rows whose pivots are set in v itself:
+    one AND with the int of all pivot bits finds them.
     """
 
     def __init__(self, rows: Iterable[int] = ()):
-        self._rows: dict[int, int] = {}  # pivot bit -> reduced row
+        self._rows: dict[int, int] = {}  # pivot bit (a power of two) -> reduced row
+        self._pivots = 0  # OR of all pivot bits
         for r in rows:
             self.add(r)
 
     def reduce(self, v: int) -> int:
         """Residual of v after elimination against the basis."""
-        for pivot, row in self._rows.items():
-            if (v >> pivot) & 1:
-                v ^= row
+        hit = v & self._pivots
+        while hit:
+            bit = hit & -hit
+            v ^= self._rows[bit]
+            hit ^= bit
         return v
 
     def add(self, v: int) -> bool:
@@ -33,11 +38,13 @@ class F2Span:
         v = self.reduce(v)
         if v == 0:
             return False
-        pivot = (v & -v).bit_length() - 1
-        for p in self._rows:
-            if (self._rows[p] >> pivot) & 1:
-                self._rows[p] ^= v
-        self._rows[pivot] = v
+        pivot = v & -v
+        rows = self._rows
+        for p, row in rows.items():
+            if row & pivot:
+                rows[p] = row ^ v
+        rows[pivot] = v
+        self._pivots |= pivot
         return True
 
     def __contains__(self, v: int) -> bool:
@@ -69,6 +76,14 @@ def span_iter(basis: Sequence[int]) -> Iterator[int]:
         yield cur
 
 
+def _low_block(basis: Sequence[int]) -> list[int]:
+    """The span of the first LOW_ROWS rows, in span_iter order (0 first)."""
+    block = [0]
+    for row in basis[:LOW_ROWS]:
+        block += [row ^ x for x in block]
+    return block
+
+
 def span_counts(
     basis: Sequence[int], weigh: Callable[[Iterator[int]], Iterable[int]]
 ) -> Counter:
@@ -80,15 +95,35 @@ def span_counts(
     iterator of words and returns one weight per word, so a weigher built
     from map() over a C-level callable such as int.bit_count costs a few C
     calls per word and one Python iteration per 2^LOW_ROWS words.  Memory
-    is one block, whatever the rank.
+    is one block, whatever the rank.  A basis of at most LOW_ROWS rows is
+    one block and is weighed as it stands.
     """
-    block = [0]
-    for row in basis[:LOW_ROWS]:
-        block += list(map(row.__xor__, block))
+    block = _low_block(basis)
+    if len(basis) <= LOW_ROWS:
+        return Counter(weigh(iter(block)))
     counts: Counter = Counter()
     for h in span_iter(basis[LOW_ROWS:]):
         counts.update(weigh(map(h.__xor__, block)))
     return counts
+
+
+def span_min_weight(basis: Sequence[int]) -> int:
+    """Smallest Hamming weight of a nonzero word in the span of independent rows.
+
+    Walks the same blocks as span_counts but keeps only each block's
+    minimum popcount.  The zero word is the first word of the first block
+    and is skipped; with independent rows no other combination is zero.
+    """
+    if not basis:
+        raise ValueError("the zero span has no nonzero word")
+    block = _low_block(basis)
+    best = min(map(int.bit_count, block[1:]))
+    if len(basis) > LOW_ROWS:
+        high = span_iter(basis[LOW_ROWS:])
+        next(high)  # h = 0: the block itself, done above
+        for h in high:
+            best = min(best, min(map(int.bit_count, map(h.__xor__, block))))
+    return best
 
 
 def rotate_bits(v: int, s: int, length: int) -> int:

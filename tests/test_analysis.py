@@ -162,6 +162,20 @@ def test_search_determinism_and_jobs_independence():
     assert config_hash(rnd) != config_hash(different_seed)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(k=2, lam="1", ell=1, m_values=(2, 3)),
+        SearchConfig(k=1, lam="3", ell=3, m_values=(4,), mode="random", samples=200, seed=4),
+    ],
+    ids=["exhaustive", "random"],
+)
+def test_search_output_does_not_depend_on_chunking(config):
+    # jobs=1 evaluates 4 chunks per coindex in this process, jobs=2 evaluates 8 in two workers.
+    one_job, two_jobs = (json.dumps(search(config, jobs=j), sort_keys=True) for j in (1, 2))
+    assert one_job == two_jobs
+
+
 # sha256 of json.dumps(search(config), sort_keys=True), recorded from the
 # string-based orbit check and RingElement code construction, so any change
 # to candidate order, orbit canonicalisation or tie-breaking shows here.

@@ -142,6 +142,8 @@ EXIT_CASES = [  # (argv, exit code): work that is empty, malformed or all over b
     (("image", "--k", "4", "--gen", "1"), 2),
     (("wd", "--k", "4", "--gen", "1", "--notation", "generic"), 2),
     (("gray", "--k", "4", "1"), 2),
+    (("image", "--k", "2", "--gen", "11", "--budget", "-5"), 2),
+    (("search", "--k", "1", "--ell", "1", "--m", "2", "--budget", "-1"), 2),
 ]
 
 
@@ -156,6 +158,16 @@ def test_empty_or_malformed_work_is_a_usage_error(capsys, argv, code):
     assert captured.err.startswith("error: ")
     for internal in ("range()", "int()", "Traceback", "allow_above_k_max"):
         assert internal not in captured.err
+
+
+@pytest.mark.parametrize("command", ["image", "wd", "bounds", "build"])
+def test_empty_stdin_batch_is_a_usage_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    rc = main([command, "--k", "2", "--gen", "-"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: no generator lines on stdin\n"
 
 
 def test_budget_exit_code(capsys):

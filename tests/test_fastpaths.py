@@ -1,0 +1,164 @@
+"""Byte-table maps, pivot-mask elimination, min-only distance and index-permutation
+orbit keys against the code they replaced.
+
+Each oracle below is the implementation its fast path replaced: the
+per-coordinate loop behind binary images and character maps, F2Span with a
+loop over every basis row, the minimum nonzero key of a full span_counts,
+and the orbit check that slices each shift out of the digit lists.
+"""
+
+from __future__ import annotations
+
+import random
+from functools import partial
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from rkcodes.analysis import _orbit_min_string, _orbit_tokens
+from rkcodes.codes import _map_coordinates
+from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_min_weight
+from rkcodes.graymap import GrayMap
+from rkcodes.ring import RingElement, character_table, unit_count
+
+
+def oracle_map_coordinates(k, n, basis, lookup, width):
+    """Flat rows with each R_k coordinate x replaced by lookup(x), width bits wide."""
+    w = 1 << k
+    mask = (1 << w) - 1
+    places = [(i * w, i * width) for i in range(n)]
+    rows = []
+    for flat in basis:
+        img = 0
+        for src, dst in places:
+            img |= lookup(flat >> src & mask) << dst
+        rows.append(img)
+    return rows
+
+
+class OracleSpan:
+    """F2Span before pivot masks: reduce and add test every row's pivot bit."""
+
+    def __init__(self, rows=()):
+        self._rows: dict[int, int] = {}  # pivot index -> reduced row
+        for r in rows:
+            self.add(r)
+
+    def reduce(self, v: int) -> int:
+        for pivot, row in self._rows.items():
+            if (v >> pivot) & 1:
+                v ^= row
+        return v
+
+    def add(self, v: int) -> bool:
+        v = self.reduce(v)
+        if v == 0:
+            return False
+        pivot = (v & -v).bit_length() - 1
+        for p in self._rows:
+            if (self._rows[p] >> pivot) & 1:
+                self._rows[p] ^= v
+        self._rows[pivot] = v
+        return True
+
+    def basis(self) -> tuple[int, ...]:
+        return tuple(self._rows[p] for p in sorted(self._rows))
+
+
+def random_basis(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
+    span = OracleSpan()
+    while len(span.basis()) < rank:
+        span.add(rng.getrandbits(length))
+    return span.basis()
+
+
+def oracle_orbit_min_string(digits, tokens, lam_times, m):
+    """(candidate string, orbit-min string), each shift sliced out of the digit lists."""
+    first = "".join(map(list.__getitem__, tokens, digits))
+    best = first
+    twisted = [lam_times[c] for c in digits]
+    for s in range(1, m):
+        member: list[int] = []
+        for lo in range(0, len(digits), m):
+            member += twisted[lo + m - s : lo + m]
+            member += digits[lo : lo + m - s]
+        text = "".join(map(list.__getitem__, tokens, member))
+        if text < best:
+            best = text
+    return first, best
+
+
+@pytest.mark.parametrize("character", [False, True], ids=["gray", "character"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_byte_table_map_matches_per_coordinate_loop(k, character):
+    if character:
+        lookup, width = character_table(k).__getitem__, unit_count(k)
+    else:
+        gray = GrayMap(k)
+        lookup, width = gray.word_image, gray.image_len
+    rng = random.Random(20 + k)
+    w = 1 << k
+    for n in (1, 2, 3, 5, 7, 9):  # odd n leaves zero coordinates in the last byte
+        basis = [0, (1 << n * w) - 1, 1 << (n - 1) * w]
+        basis += [rng.getrandbits(n * w) for _ in range(8)]
+        got = _map_coordinates(k, n, basis, character)
+        assert got == oracle_map_coordinates(k, n, basis, lookup, width), (k, n)
+        assert all(row < 1 << n * width for row in got)
+
+
+rows_strategy = st.lists(st.integers(0, (1 << 12) - 1) | st.integers(0, 15), max_size=16)
+
+
+@given(rows_strategy, st.lists(st.integers(0, (1 << 12) - 1), max_size=8))
+def test_f2span_matches_naive_elimination(rows, probes):
+    span, oracle = F2Span(), OracleSpan()
+    for r in rows:
+        assert span.add(r) == oracle.add(r)
+    assert span.basis() == oracle.basis()
+    assert span.rank == len(oracle.basis())
+    assert F2Span(rows).basis() == oracle.basis()
+    for v in probes + rows:
+        assert span.reduce(v) == oracle.reduce(v)
+        assert (v in span) == (oracle.reduce(v) == 0)
+
+
+@pytest.mark.parametrize("rank", range(LOW_ROWS + 4))
+def test_span_min_weight_matches_span_counts(rank):
+    rng = random.Random(rank)
+    for length in (rank + 1, 2 * rank + 3, 40):
+        basis = random_basis(rng, rank, length)
+        counts = span_counts(basis, partial(map, int.bit_count))
+        nonzero = [w for w in counts if w]
+        if rank == 0:
+            assert not nonzero
+            with pytest.raises(ValueError):
+                span_min_weight(basis)
+        else:
+            assert span_min_weight(basis) == min(nonzero), (rank, length)
+
+
+ORBIT_SHAPES = [  # (k, notation, ell, m)
+    (1, "r1", 3, 3),
+    (1, "r1", 1, 5),
+    (2, "hex", 2, 3),
+    (2, "hex", 1, 1),
+    (2, "generic", 2, 4),
+    (3, "generic", 3, 2),
+]
+
+
+@pytest.mark.parametrize("shape", ORBIT_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_orbit_min_string_matches_sliced_shifts(shape):
+    k, notation, ell, m = shape
+    rng = random.Random(str(shape))
+    size = 1 << (1 << k)
+    tokens = _orbit_tokens(k, ell, m, notation)
+    for _ in range(200):
+        lam = RingElement(k, rng.randrange(1, size, 2))
+        lam_times = [(lam * RingElement(k, c)).coeffs for c in range(size)]
+        top = rng.choice((3, size - 1))  # small digits make ties and shared prefixes
+        digits = [rng.randint(0, top) for _ in range(ell * m)]
+        assert _orbit_min_string(digits, tokens, lam_times, m) == oracle_orbit_min_string(
+            digits, tokens, lam_times, m
+        )

@@ -4,10 +4,22 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rkcodes.codes import ModuleSpan, binary_image_of_span, flatten_vec
 from rkcodes.gf2 import bits_to_str, rotate_bits
 from rkcodes.graymap import GrayMap, NotInImageError, apply_permutation
-from rkcodes.ring import RingElement, elements, one, parse_element, top, units, zero
+from rkcodes.ring import (
+    RingElement,
+    elements,
+    hom_weight_vec,
+    one,
+    parse_element,
+    top,
+    units,
+    zero,
+)
 
 # frozen convention for k=3 (bit-slice rows, top -> all-ones)
 K3_TABLE_SHA256 = "e3119830e43e6e3beb1db964e11ad7fc4118168bf7ca8bbb3c3a8ea622f3256a"
@@ -162,3 +174,21 @@ def test_shift_commutation_with_image():
         vec = tuple(RingElement(2, rng.randrange(16)) for _ in range(n))
         shifted = (vec[-1],) + vec[:-1]
         assert g.image(shifted) == rotate_bits(g.image(vec), g.image_len, n * g.image_len)
+
+
+@st.composite
+def ring_vectors(draw):
+    k = draw(st.integers(1, 3))
+    size = 1 << (1 << k)
+    coeffs = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=9))
+    return tuple(RingElement(k, c) for c in coeffs)
+
+
+@given(ring_vectors())
+def test_isometry_on_random_vectors(vec):
+    """Hamming weight of the Gray image equals the homogeneous weight, on both image paths."""
+    k, n = vec[0].k, len(vec)
+    weight = hom_weight_vec(vec)
+    assert GrayMap(k).image(vec).bit_count() == weight
+    image = binary_image_of_span(ModuleSpan(k, n, (flatten_vec(vec),)))
+    assert sum(row.bit_count() for row in image.rows) == weight  # at most one row
