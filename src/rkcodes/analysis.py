@@ -32,7 +32,9 @@ from rkcodes.codes import (
 )
 from rkcodes.gf2 import F2Span
 from rkcodes.polyqt import element_separator
-from rkcodes.ring import K_MAX, RingElement, elements, format_element, gamma, one, parse_element, zero
+from rkcodes.ring import (
+    K_MAX, RingElement, elements, format_element, gamma, one, parse_element, unit_count, zero
+)
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def verify_tables(
         img = binary_image(code, budget)
         computed = [img.length, img.rank, img.min_distance(budget) if img.rank else None]
         expected = [row.n, row.dim, row.d]
-        qc_index = (1 << ((1 << row.k) - 1)) * row.ell
+        qc_index = unit_count(row.k) * row.ell
         qc_ok = img.qc_index_check(qc_index) if code.lam.coeffs == 1 else None
         reports.append(
             {
@@ -123,8 +125,7 @@ def repetition_code_family(k: int, n: int) -> tuple[QTCode, tuple[int, int, int]
     """Length-n repetition code over R_k with its predicted image parameters."""
     block = tuple(one(k) for _ in range(n))
     code = QTCode(one(k), 1, n, ((block,),))
-    image_len = 1 << ((1 << k) - 1)
-    return code, (n * image_len, 1 << k, n * gamma(k))
+    return code, (n * unit_count(k), 1 << k, n * gamma(k))
 
 
 def six_m_family(m: int) -> tuple[QTCode, tuple[int, int, int]]:
@@ -401,7 +402,7 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
             total = size**positions
             if total > 1 << config.max_candidates_log2:
                 raise BudgetError(
-                    f"{total} candidate tuples exceed the "
+                    f"2^{positions << config.k} candidate tuples exceed the "
                     f"2^{config.max_candidates_log2} exhaustive cap"
                 )
             chunks = max(1, min(jobs * 4, total))
@@ -439,7 +440,7 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
     records = []
     for cell, (_, gen_str) in best.items():
         length, dim = (int(x) for x in cell.split(":"))
-        m = length // ((1 << ((1 << config.k) - 1)) * config.ell)
+        m = length // (unit_count(config.k) * config.ell)
         code = QTCode.from_strings(
             config.k, [gen_str], lam=config.lam, ell=config.ell, m=m,
             notation=config.notation,

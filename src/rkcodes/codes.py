@@ -33,6 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import F2Span, rotate_bits, span_counts, span_iter, span_min_weight
@@ -42,10 +43,10 @@ from rkcodes.polyqt import (
     RingVec,
     divides_modulus,
     format_generator,
+    grade_scaled,
     parse_element,
     parse_generator,
     poly_degree,
-    shift_n,
 )
 from rkcodes.ring import (
     K_MAX,
@@ -96,19 +97,9 @@ class ModuleSpan:
     def rank(self) -> int:
         return len(self.basis)
 
-    @cached_property
-    def _span(self) -> F2Span:
-        return F2Span(self.basis)
-
-    def contains(self, vec: Sequence[RingElement]) -> bool:
-        return flatten_vec(vec) in self._span if vec else True
-
-    def iter_flat(self, budget: int = DEFAULT_BUDGET_LOG2) -> Iterator[int]:
-        _check_budget(self.rank, budget)
-        return span_iter(self.basis)
-
     def codewords(self, budget: int = DEFAULT_BUDGET_LOG2) -> Iterator[RingVec]:
-        for flat in self.iter_flat(budget):
+        _check_budget(self.rank, budget)
+        for flat in span_iter(self.basis):
             yield unflatten_vec(flat, self.k, self.n)
 
 
@@ -118,6 +109,24 @@ def _monomial_masks(k: int, n: int) -> tuple[tuple[int, int], ...]:
     w = 1 << k
     repunit = ((1 << n * w) - 1) // ((1 << w) - 1)  # bit 0 of every coordinate
     return tuple((a, sum(1 << b for b in range(w) if not a & b) * repunit) for a in range(w))
+
+
+def _twisted_shifts(flat: int, k: int, n: int, lam: int, steps: int) -> Iterator[int]:
+    """flat and its successive T_lambda^steps images, for a flat length-n word over R_k.
+
+    The top steps coordinates wrap around to the bottom times lambda
+    (coefficient word lam), so steps must lie in 1..n.
+    """
+    shift = steps << k
+    wrap = (n - steps) << k
+    full = (1 << (n << k)) - 1
+    twist = [(a, mask) for a, mask in _monomial_masks(k, steps) if lam >> a & 1]
+    while True:
+        yield flat
+        top = flat >> wrap
+        flat = (flat << shift) & full
+        for a, mask in twist:
+            flat ^= (top & mask) << a
 
 
 def _span_of_flat(k: int, n: int, rows: Iterable[int]) -> ModuleSpan:
@@ -212,21 +221,11 @@ def deinterleave(vec: Sequence[RingElement], ell: int) -> tuple[RingVec, ...]:
 
 
 def _flat_rows(code: QTCode) -> list[int]:
-    """m flat interleaved rows per generator tuple: x^i times the generator."""
-    step = code.ell << code.k  # bits of one coefficient position, all blocks
-    wrap = (code.m - 1) * step
-    full = (1 << (code.n << code.k)) - 1
-    lam = code.lam.coeffs
-    twist = [(a, mask) for a, mask in _monomial_masks(code.k, code.ell) if lam >> a & 1]
+    """m flat interleaved rows per generator tuple: x^i * generator, i.e. T_lambda^(i*ell)."""
     rows = []
     for gen in code.generators:
         flat = flatten_vec(interleave(gen))
-        for _ in range(code.m):
-            rows.append(flat)
-            top = flat >> wrap  # coefficient m-1 of every block
-            flat = (flat << step) & full
-            for a, mask in twist:  # wraps around to coefficient 0 as lambda * top
-                flat ^= (top & mask) << a
+        rows += islice(_twisted_shifts(flat, code.k, code.n, code.lam.coeffs, code.ell), code.m)
     return rows
 
 
@@ -256,8 +255,17 @@ def rows_shift_invariant(
 ) -> bool:
     """True iff T_lambda^ell maps the module span of the rows into itself."""
     span = module_span(rows)
+    if lam.k != span.k or not lam.is_unit:
+        raise ValueError(f"twist lambda must be a unit of R_{span.k}")
+    if not 1 <= ell <= span.n:
+        raise ValueError(f"shift {ell} outside 1..{span.n}")
     _check_budget(span.rank, budget)
-    return all(span.contains(shift_n(row, lam, ell)) for row in rows)
+    f2 = F2Span(span.basis)
+    return all(
+        word in f2  # the row itself, then its shift
+        for flat in map(flatten_vec, rows)
+        for word in islice(_twisted_shifts(flat, span.k, span.n, lam.coeffs, ell), 2)
+    )
 
 
 def is_qt_invariant(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> bool:
@@ -269,10 +277,6 @@ class WeightEnumerator:
 
     def __init__(self, counts: Mapping[int, int]):
         self._counts = {int(w): int(c) for w, c in counts.items() if c}
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[Sequence[int]]) -> "WeightEnumerator":
-        return cls({w: c for w, c in pairs})
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self._counts.items()))
@@ -405,8 +409,8 @@ def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> Binar
     """Binary Gray image of a span.
 
     Every GrayMap(k) with k <= K_MAX is the same map, so those spans go
-    through one byte table per k whatever gray is passed; wider rings (a
-    GrayMap built with allow_above_k_max) map one coordinate at a time.
+    through one byte table per k and gray is not read; wider rings map one
+    coordinate at a time through gray, a GrayMap built with allow_above_k_max.
     """
     k, n = span.k, span.n
     if k <= K_MAX:
@@ -424,12 +428,10 @@ def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> Binar
     return BinaryCode.from_rows(n * gray.image_len, rows)
 
 
-def binary_image(
-    code: QTCode, budget: int = DEFAULT_BUDGET_LOG2, gray: GrayMap | None = None
-) -> BinaryCode:
+def binary_image(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> BinaryCode:
     span = code_span(code)
     _check_budget(span.rank, budget)
-    return binary_image_of_span(span, gray)
+    return binary_image_of_span(span)
 
 
 def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
@@ -478,11 +480,6 @@ def free_rank_check(g: Polynomial) -> tuple[bool, int | None]:
     return False, None
 
 
-def grade_scaled(vec: Sequence[RingElement], lam: RingElement, ell: int) -> RingVec:
-    """Scale coordinate j by lam^(j // ell): the coefficient-substitution map."""
-    return tuple(e if (j // ell) % 2 == 0 else lam * e for j, e in enumerate(vec))
-
-
 def qc_equivalent(code: QTCode) -> QTCode:
     """The ell-QC code corresponding to a QT code of odd coindex.
 
@@ -493,11 +490,7 @@ def qc_equivalent(code: QTCode) -> QTCode:
     if code.m % 2 == 0:
         raise ValueError("QT/QC correspondence requires odd coindex")
     gens = tuple(
-        tuple(
-            tuple(c if i % 2 == 0 else code.lam * c for i, c in enumerate(block))
-            for block in gen
-        )
-        for gen in code.generators
+        tuple(grade_scaled(block, code.lam, 1) for block in gen) for gen in code.generators
     )
     return QTCode(one(code.k), code.ell, code.m, gens)
 
@@ -506,14 +499,13 @@ def code_record(
     code: QTCode,
     budget: int = DEFAULT_BUDGET_LOG2,
     notation: str | None = None,
-    gray: GrayMap | None = None,
 ) -> dict:
     """JSON-ready summary of a code and its binary image."""
-    img = binary_image(code, budget, gray)
+    img = binary_image(code, budget)
     enum = img.weight_enumerator(budget)
     qc_index = None
     if code.lam.coeffs == 1:
-        s = (1 << ((1 << code.k) - 1)) * code.ell
+        s = unit_count(code.k) * code.ell
         if img.length % s == 0 and img.qc_index_check(s):
             qc_index = s
     return {

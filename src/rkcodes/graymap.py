@@ -22,8 +22,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from rkcodes.gf2 import F2Span, bits_to_str
-from rkcodes.ring import K_MAX, RingElement
+from rkcodes.gf2 import F2Span, bits_to_str, gf2_rank
+from rkcodes.ring import K_MAX, RingElement, unit_count
 
 RingVec = tuple[RingElement, ...]
 
@@ -46,7 +46,7 @@ class PermutationNotFoundError(RuntimeError):
 
 
 def _bit_slice_rows(k: int) -> tuple[int, ...]:
-    n_points = 1 << ((1 << k) - 1)
+    n_points = unit_count(k)
     rows = []
     for a in range((1 << k) - 1):
         row = 0
@@ -70,21 +70,16 @@ class GrayMap:
                 "pass allow_above_k_max=True to force"
             )
         self.k = k
-        self.image_len = 1 << ((1 << k) - 1)
+        self.image_len = unit_count(k)
         self.basis_rows = _PINNED_ROWS.get(k) or _bit_slice_rows(k)
         self._element_cache: dict[int, int] = {}
-        # Decoder: reduced rows with the basis combination that produced them.
-        reduced: list[tuple[int, int, int]] = []  # (pivot, row, combination)
-        for idx, row in enumerate(self.basis_rows):
-            comb = 1 << idx
-            for pivot, r, c in reduced:
-                if (row >> pivot) & 1:
-                    row ^= r
-                    comb ^= c
-            if row == 0:
-                raise AssertionError("basis table rows are not independent")
-            reduced.append(((row & -row).bit_length() - 1, row, comb))
-        self._decoder = tuple(reduced)
+        if gf2_rank(self.basis_rows) < len(self.basis_rows):
+            raise AssertionError("basis table rows are not independent")
+        # Decoder: basis row idx tagged with bit image_len + idx, so reducing
+        # an image block leaves its coefficient word in the high bits.
+        self._decoder = F2Span(
+            row | 1 << (idx + self.image_len) for idx, row in enumerate(self.basis_rows)
+        )
 
     def element_image(self, e: RingElement) -> int:
         if e.k != self.k:
@@ -118,14 +113,10 @@ class GrayMap:
     def element_preimage(self, block: int) -> RingElement:
         if not 0 <= block < 1 << self.image_len:
             raise NotInImageError("block does not fit the image length")
-        comb = 0
-        for pivot, row, c in self._decoder:
-            if (block >> pivot) & 1:
-                block ^= row
-                comb ^= c
-        if block:
+        residual = self._decoder.reduce(block)
+        if residual & (1 << self.image_len) - 1:
             raise NotInImageError("binary block lies outside RM(1, 2^k - 1)")
-        return RingElement(self.k, comb)
+        return RingElement(self.k, residual >> self.image_len)
 
     def preimage(self, bits: int, n_blocks: int) -> RingVec:
         """Unique preimage of a valid n_blocks * image_len word."""

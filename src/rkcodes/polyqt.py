@@ -138,8 +138,10 @@ class Polynomial:
     def degree(self) -> int:
         return poly_degree(self.coeffs)
 
-    def scale(self, c: RingElement) -> "Polynomial":
-        return Polynomial(tuple(c * a for a in self.coeffs), self.lam)
+
+def grade_scaled(vec: Sequence[RingElement], lam: RingElement, ell: int) -> RingVec:
+    """Scale coordinate j by lam^(j // ell): the coefficient-substitution map."""
+    return tuple(e if (j // ell) % 2 == 0 else lam * e for j, e in enumerate(vec))
 
 
 def lambda_substitute(f: Polynomial, lam: RingElement) -> Polynomial:
@@ -154,8 +156,7 @@ def lambda_substitute(f: Polynomial, lam: RingElement) -> Polynomial:
         raise ValueError("substitution unit from the wrong ring")
     if f.m % 2 == 0:
         raise ValueError("substitution is an isomorphism only for odd coindex")
-    coeffs = tuple(c if i % 2 == 0 else lam * c for i, c in enumerate(f.coeffs))
-    return Polynomial(coeffs, lam * f.lam)
+    return Polynomial(grade_scaled(f.coeffs, lam, 1), lam * f.lam)
 
 
 def twistulant(first_row: Sequence[RingElement], lam: RingElement) -> tuple[RingVec, ...]:

@@ -144,6 +144,7 @@ EXIT_CASES = [  # (argv, exit code): work that is empty, malformed or all over b
     (("gray", "--k", "4", "1"), 2),
     (("image", "--k", "2", "--gen", "11", "--budget", "-5"), 2),
     (("search", "--k", "1", "--ell", "1", "--m", "2", "--budget", "-1"), 2),
+    (("search", "--k", "1", "--ell", "30", "--m", "30"), 3),  # 2^1800 tuples over the cap
 ]
 
 
@@ -156,6 +157,7 @@ def test_empty_or_malformed_work_is_a_usage_error(capsys, argv, code):
     assert rc == code
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err) <= 100
     for internal in ("range()", "int()", "Traceback", "allow_above_k_max"):
         assert internal not in captured.err
 

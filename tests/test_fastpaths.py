@@ -1,10 +1,11 @@
-"""Byte-table maps, pivot-mask elimination, min-only distance and index-permutation
-orbit keys against the code they replaced.
+"""Byte-table maps, pivot-mask elimination, min-only distance, index-permutation
+orbit keys and the F2Span Gray decoder against the code they replaced.
 
 Each oracle below is the implementation its fast path replaced: the
 per-coordinate loop behind binary images and character maps, F2Span with a
 loop over every basis row, the minimum nonzero key of a full span_counts,
-and the orbit check that slices each shift out of the digit lists.
+the orbit check that slices each shift out of the digit lists, and the
+GrayMap decoder that carried basis combinations through its own elimination.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 from rkcodes.analysis import _orbit_min_string, _orbit_tokens
 from rkcodes.codes import _map_coordinates
 from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_min_weight
-from rkcodes.graymap import GrayMap
+from rkcodes import graymap
+from rkcodes.graymap import GrayMap, NotInImageError
 from rkcodes.ring import RingElement, character_table, unit_count
 
 
@@ -162,3 +164,69 @@ def test_orbit_min_string_matches_sliced_shifts(shape):
         assert _orbit_min_string(digits, tokens, lam_times, m) == oracle_orbit_min_string(
             digits, tokens, lam_times, m
         )
+
+
+class OracleDecoder:
+    """GrayMap's decoder before F2Span: reduced rows with the basis combination behind each."""
+
+    def __init__(self, basis_rows):
+        self._reduced = []  # (pivot, row, combination)
+        for idx, row in enumerate(basis_rows):
+            comb = 1 << idx
+            for pivot, r, c in self._reduced:
+                if (row >> pivot) & 1:
+                    row ^= r
+                    comb ^= c
+            assert row, "basis table rows are not independent"
+            self._reduced.append(((row & -row).bit_length() - 1, row, comb))
+
+    def preimage(self, block: int) -> int | None:
+        """Coefficient word of the element whose image is block, or None."""
+        comb = 0
+        for pivot, row, c in self._reduced:
+            if (block >> pivot) & 1:
+                block ^= row
+                comb ^= c
+        return None if block else comb
+
+
+def assert_decoders_agree(gray: GrayMap, oracle: OracleDecoder, block: int) -> bool:
+    """Both decoders give the same preimage or both reject; True if accepted."""
+    want = oracle.preimage(block)
+    if want is None:
+        with pytest.raises(NotInImageError):
+            gray.element_preimage(block)
+        return False
+    assert gray.element_preimage(block) == RingElement(gray.k, want)
+    return True
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_gray_decoder_matches_hand_elimination_on_every_block(k):
+    gray = GrayMap(k)
+    oracle = OracleDecoder(gray.basis_rows)
+    accepted = [b for b in range(1 << gray.image_len) if assert_decoders_agree(gray, oracle, b)]
+    assert len(accepted) == 1 << (1 << k)
+    assert sorted(accepted) == sorted(gray.word_image(c) for c in range(1 << (1 << k)))
+
+
+def test_gray_decoder_k3_round_trip_and_rejects():
+    gray = GrayMap(3)
+    oracle = OracleDecoder(gray.basis_rows)
+    for c in range(256):
+        block = gray.word_image(c)
+        assert oracle.preimage(block) == c
+        assert gray.element_preimage(block) == RingElement(3, c)
+        # RM(1, 7) has minimum distance 64, so one flipped bit leaves the image.
+        assert not assert_decoders_agree(gray, oracle, block ^ 1 << (c % gray.image_len))
+    rng = random.Random(3)
+    for _ in range(300):
+        assert not assert_decoders_agree(gray, oracle, rng.getrandbits(gray.image_len))
+    with pytest.raises(NotInImageError, match="does not fit"):
+        gray.element_preimage(1 << gray.image_len)
+
+
+def test_gray_decoder_refuses_dependent_basis_rows(monkeypatch):
+    monkeypatch.setitem(graymap._PINNED_ROWS, 1, (0b11, 0b11))
+    with pytest.raises(AssertionError, match="not independent"):
+        GrayMap(1)

@@ -1,9 +1,10 @@
 """Flat-int code construction against the RingElement versions it replaced.
 
 The oracles below are the implementations the flat-int code replaced:
-module spans by RingElement multiplication, twisted shifts by
-polyqt.shift_n, Gray images by GrayMap.image on every codeword, and the
-search orbit check on formatted generator strings.
+module spans by RingElement multiplication, twisted shifts (in spanning
+rows and in the shift-invariance check) by polyqt.shift_n, Gray images by
+GrayMap.image on every codeword, and the search orbit check on formatted
+generator strings.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from rkcodes.codes import (
     interleave,
     module_span,
     qt_generator_matrix,
+    rows_shift_invariant,
     spanning_rows,
 )
 from rkcodes.gf2 import F2Span
@@ -114,6 +116,47 @@ def test_flat_twisted_shift_matches_shift_n(code):
         for i in range(code.m)
     )
     assert code_span(code).basis == oracle_module_span(rows)
+
+
+def oracle_rows_shift_invariant(rows, lam, ell) -> bool:
+    span = F2Span(module_span(rows).basis)
+    return all(flatten_vec(shift_n(row, lam, ell)) in span for row in rows)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rows_shift_invariant_matches_shift_n(k):
+    rng = random.Random(30 + k)
+    size = 1 << (1 << k)
+    outcomes = set()
+    for trial in range(30):
+        lam = RingElement(k, rng.randrange(1, size, 2))
+        ell, m = rng.randint(1, 3), rng.randint(1, 3 if k < 3 else 2)
+        if trial % 2:  # spanning rows of a QT code: invariant under T_lam^ell
+            gen = tuple(random_vec(rng, k, m, range(0, size, 1 + trial % 3)) for _ in range(ell))
+            rows = spanning_rows(QTCode(lam, ell, m, (gen,)))
+        else:
+            rows = [random_vec(rng, k, ell * m) for _ in range(rng.randint(1, 2))]
+        for steps in range(1, ell * m + 1):
+            got = rows_shift_invariant(rows, lam, steps, budget=64)
+            assert got == oracle_rows_shift_invariant(rows, lam, steps), (rows, lam, steps)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_rows_shift_invariant_rejects_bad_twist_or_shift():
+    row = (RingElement(2, 1), RingElement(2, 6), RingElement(2, 3))
+    for lam, steps in [
+        (RingElement(2, 2), 1),  # not a unit
+        (RingElement(2, 0), 1),
+        (RingElement(1, 1), 1),  # a unit of another ring
+        (RingElement(3, 1), 1),
+        (RingElement(2, 1), 0),  # shift outside 1..n
+        (RingElement(2, 1), -1),
+        (RingElement(2, 1), 4),
+    ]:
+        with pytest.raises(ValueError):
+            rows_shift_invariant([row], lam, steps)
+    assert rows_shift_invariant([row], RingElement(2, 1), 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
