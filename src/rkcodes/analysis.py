@@ -11,6 +11,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import islice, product
 from typing import Sequence
 
 from rkcodes.codes import (
@@ -20,11 +21,13 @@ from rkcodes.codes import (
     ModuleSpan,
     QTCode,
     _check_budget,
+    _span_of_flat,
     binary_image,
     binary_image_of_span,
     code_record,
     code_span,
     flatten_vec,
+    generator_rows,
     grade_scaled,
     hom_counts,
     residue_word,
@@ -97,7 +100,7 @@ def verify_tables(
     reports = []
     for row in load_table_rows(tables):
         code = build_row_code(row)
-        img = binary_image(code, budget)
+        img = binary_image(code)
         computed = [img.length, img.rank, img.min_distance(budget) if img.rank else None]
         expected = [row.n, row.dim, row.d]
         qc_index = unit_count(row.k) * row.ell
@@ -206,7 +209,7 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     }
 
 
-def table1_qc6_report(budget: int = DEFAULT_BUDGET_LOG2) -> list[dict]:
+def table1_qc6_report() -> list[dict]:
     """Check 6-QC invariance of Table 1 images after the grade-scaling permutation.
 
     For odd coindex the scaled code is the QC form of the QT code, so the
@@ -261,16 +264,13 @@ class SearchConfig:
             raise ValueError("index ell and coindex m must be positive")
         if self.mode == "random" and self.samples < 1:
             raise ValueError("random search needs at least one sample")
+        if not parse_element(self.lam, self.k, self.notation).is_unit:
+            raise ValueError(f"twist lambda {self.lam!r} must be a unit of R_{self.k}")
 
 
 def config_hash(config: SearchConfig) -> str:
     blob = json.dumps(asdict(config), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _digits_to_blocks(digits: Sequence[int], ring: tuple[RingElement, ...], ell: int, m: int):
-    """Generator blocks of a digit tuple; ring[c] is the element with coefficient word c."""
-    return tuple(tuple(map(ring.__getitem__, digits[lo : lo + m])) for lo in range(0, ell * m, m))
 
 
 def _orbit_tokens(k: int, ell: int, m: int, notation: str | None) -> list[list[str]]:
@@ -317,8 +317,13 @@ def _orbit_min_string(
     return first, best
 
 
+def _keep_best(best: dict, cell: tuple[int, int], key: tuple[int, str]) -> None:
+    """Keep the smaller key (-d, generator string) per (length, dimension) cell."""
+    best[cell] = min(best.get(cell, key), key)
+
+
 def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
-    """Best (d, generator string) per (length, dimension) cell, and the budget skips, for one chunk."""
+    """Best (-d, generator string) per (length, dimension) cell, and budget skips, of a chunk."""
     k = payload["k"]
     ell = payload["ell"]
     m = payload["m"]
@@ -326,54 +331,32 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
     notation = payload["notation"]
     lam = parse_element(payload["lam"], k, notation)
     tokens = _orbit_tokens(k, ell, m, notation)
-    ring = tuple(elements(k))
-    lam_times = [(lam * e).coeffs for e in ring]
-    size = 1 << (1 << k)
+    lam_times = [(lam * e).coeffs for e in elements(k)]
     if "index_range" in payload:
         lo, hi = payload["index_range"]
-
-        def candidates():
-            for idx in range(lo, hi):
-                digits = []
-                v = idx
-                for _ in range(ell * m):
-                    digits.append(v % size)
-                    v //= size
-                yield digits
-
+        # Tuple idx of product is idx in base 2^(2^k), most significant digit first.
+        every = product(range(1 << (1 << k)), repeat=ell * m)
+        candidates = (t[::-1] for t in islice(every, lo, hi))
     else:
-
-        def candidates():
-            yield from payload["tuples"]
+        candidates = payload["tuples"]
 
     best: dict[tuple[int, int], tuple[int, str]] = {}
     skipped = 0
-    for digits in candidates():
+    for digits in candidates:
         if not any(digits):
             continue
         gen_str, orbit_min = _orbit_min_string(digits, tokens, lam_times, m)
         if gen_str != orbit_min:
             continue  # a shift-equivalent candidate was or will be seen
-        blocks = _digits_to_blocks(digits, ring, ell, m)
-        code = QTCode(lam, ell, m, (blocks,))
+        span = _span_of_flat(k, ell * m, generator_rows(k, lam.coeffs, ell, m, digits))
+        img = binary_image_of_span(span)
         try:
-            img = binary_image(code, budget)
             d = img.min_distance(budget)
         except BudgetError:
             skipped += 1
             continue
-        cell = (img.length, img.rank)
-        cur = best.get(cell)
-        if cur is None or d > cur[0] or (d == cur[0] and gen_str < cur[1]):
-            best[cell] = (d, gen_str)
-    return {f"{length}:{dim}": val for (length, dim), val in best.items()}, skipped
-
-
-def _merge_best(acc: dict, new: dict) -> None:
-    for cell, (d, gen_str) in new.items():
-        cur = acc.get(cell)
-        if cur is None or d > cur[0] or (d == cur[0] and gen_str < cur[1]):
-            acc[cell] = (d, gen_str)
+        _keep_best(best, (img.length, img.rank), (-d, gen_str))
+    return best, skipped
 
 
 def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
@@ -382,7 +365,8 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
     Candidates are single-generator tuples; only the lexicographically
     smallest member of each simultaneous-shift orbit is evaluated.  Output
     is independent of the worker count.  Raises BudgetError when candidates
-    were skipped for the codeword budget and none was evaluated.
+    were skipped for the codeword budget and none was evaluated, and
+    ValueError when none was evaluated for any other reason.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -405,41 +389,43 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
                     f"2^{positions << config.k} candidate tuples exceed the "
                     f"2^{config.max_candidates_log2} exhaustive cap"
                 )
-            chunks = max(1, min(jobs * 4, total))
-            step = -(-total // chunks)
-            for lo in range(0, total, step):
-                payloads.append(
-                    dict(payload_base, m=m, index_range=(lo, min(lo + step, total)))
-                )
         else:
             tuples = [
                 [rng.randrange(size) for _ in range(positions)]
                 for _ in range(config.samples)
             ]
-            chunks = max(1, min(jobs * 4, len(tuples)))
-            step = -(-len(tuples) // chunks)
-            for lo in range(0, len(tuples), step):
-                payloads.append(dict(payload_base, m=m, tuples=tuples[lo : lo + step]))
+            total = len(tuples)
+        step = -(-total // min(jobs * 4, total))
+        for lo in range(0, total, step):
+            hi = min(lo + step, total)
+            part = (
+                {"tuples": tuples[lo:hi]} if config.mode == "random" else {"index_range": (lo, hi)}
+            )
+            payloads.append(dict(payload_base, m=m, **part))
 
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_chunk, payloads))
     else:
         results = map(_evaluate_chunk, payloads)
-    best: dict[str, tuple[int, str]] = {}
+    best: dict[tuple[int, int], tuple[int, str]] = {}
     skipped = 0
     for cells, chunk_skipped in results:
-        _merge_best(best, cells)
+        for cell, key in cells.items():
+            _keep_best(best, cell, key)
         skipped += chunk_skipped
     if skipped and not best:
         raise BudgetError(
             f"all {skipped} candidate codes skipped: each has over 2^{config.budget} codewords"
         )
+    if not best:
+        raise ValueError(
+            "no candidate evaluated: every sample is zero or not the least of its shift orbit"
+        )
 
     h = config_hash(config)
     records = []
-    for cell, (_, gen_str) in best.items():
-        length, dim = (int(x) for x in cell.split(":"))
+    for (length, dim), (_, gen_str) in best.items():
         m = length // (unit_count(config.k) * config.ell)
         code = QTCode.from_strings(
             config.k, [gen_str], lam=config.lam, ell=config.ell, m=m,

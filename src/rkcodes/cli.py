@@ -200,7 +200,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "n": code.n,
             "generators": code.generator_strings(args.notation),
             "f2_dimension": span.rank,
-            "qt_invariant": is_qt_invariant(code, args.budget),
+            "qt_invariant": is_qt_invariant(code),
         })
     _emit_rows(
         rows,
@@ -235,7 +235,7 @@ def _cmd_wd(args: argparse.Namespace) -> int:
     _require_gray_k(args)
     rows = []
     for code in _codes_from_args(args):
-        img = binary_image(code, args.budget)
+        img = binary_image(code)
         image_enum = img.weight_enumerator(args.budget)
         hom_enum = hom_weight_enumerator(code, args.budget)
         rows.append({

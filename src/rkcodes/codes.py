@@ -220,12 +220,22 @@ def deinterleave(vec: Sequence[RingElement], ell: int) -> tuple[RingVec, ...]:
     return tuple(tuple(vec[i * ell + b] for i in range(m)) for b in range(ell))
 
 
+def generator_rows(k: int, lam: int, ell: int, m: int, words: Sequence[int]) -> list[int]:
+    """The m flat interleaved rows x^i * g, i.e. T_lambda^(i*ell) g, of one generator tuple g.
+
+    words[b*m + i] is the coefficient word of coefficient i of block b, and
+    lam the coefficient word of lambda.
+    """
+    flat = sum(c << ((p % m * ell + p // m) << k) for p, c in enumerate(words))
+    return list(islice(_twisted_shifts(flat, k, ell * m, lam, ell), m))
+
+
 def _flat_rows(code: QTCode) -> list[int]:
-    """m flat interleaved rows per generator tuple: x^i * generator, i.e. T_lambda^(i*ell)."""
+    """generator_rows of every generator tuple of the code."""
     rows = []
     for gen in code.generators:
-        flat = flatten_vec(interleave(gen))
-        rows += islice(_twisted_shifts(flat, code.k, code.n, code.lam.coeffs, code.ell), code.m)
+        words = [e.coeffs for block in gen for e in block]
+        rows += generator_rows(code.k, code.lam.coeffs, code.ell, code.m, words)
     return rows
 
 
@@ -251,7 +261,6 @@ def rows_shift_invariant(
     rows: Sequence[Sequence[RingElement]],
     lam: RingElement,
     ell: int,
-    budget: int = DEFAULT_BUDGET_LOG2,
 ) -> bool:
     """True iff T_lambda^ell maps the module span of the rows into itself."""
     span = module_span(rows)
@@ -259,7 +268,6 @@ def rows_shift_invariant(
         raise ValueError(f"twist lambda must be a unit of R_{span.k}")
     if not 1 <= ell <= span.n:
         raise ValueError(f"shift {ell} outside 1..{span.n}")
-    _check_budget(span.rank, budget)
     f2 = F2Span(span.basis)
     return all(
         word in f2  # the row itself, then its shift
@@ -268,8 +276,8 @@ def rows_shift_invariant(
     )
 
 
-def is_qt_invariant(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> bool:
-    return rows_shift_invariant(spanning_rows(code), code.lam, code.ell, budget)
+def is_qt_invariant(code: QTCode) -> bool:
+    return rows_shift_invariant(spanning_rows(code), code.lam, code.ell)
 
 
 class WeightEnumerator:
@@ -428,10 +436,8 @@ def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> Binar
     return BinaryCode.from_rows(n * gray.image_len, rows)
 
 
-def binary_image(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> BinaryCode:
-    span = code_span(code)
-    _check_budget(span.rank, budget)
-    return binary_image_of_span(span)
+def binary_image(code: QTCode) -> BinaryCode:
+    return binary_image_of_span(code_span(code))
 
 
 def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
@@ -458,10 +464,9 @@ def residue_word(flat: int, k: int, n: int) -> int:
     return sum(((flat >> (i * n_bits)) & 1) << i for i in range(n))
 
 
-def residue_code(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> BinaryCode:
+def residue_code(code: QTCode) -> BinaryCode:
     """Binary projection of the code under reduction mod the maximal ideal."""
     span = code_span(code)
-    _check_budget(span.rank, budget)
     return BinaryCode.from_rows(span.n, [residue_word(b, span.k, span.n) for b in span.basis])
 
 
@@ -501,13 +506,10 @@ def code_record(
     notation: str | None = None,
 ) -> dict:
     """JSON-ready summary of a code and its binary image."""
-    img = binary_image(code, budget)
+    img = binary_image(code)
     enum = img.weight_enumerator(budget)
-    qc_index = None
-    if code.lam.coeffs == 1:
-        s = unit_count(code.k) * code.ell
-        if img.length % s == 0 and img.qc_index_check(s):
-            qc_index = s
+    s = unit_count(code.k) * code.ell  # divides the image length ell*m*|U|
+    qc_index = s if code.lam.coeffs == 1 and img.qc_index_check(s) else None
     return {
         "k": code.k,
         "lambda": format_element(code.lam, notation),

@@ -176,6 +176,13 @@ def test_search_output_does_not_depend_on_chunking(config):
     assert one_job == two_jobs
 
 
+def test_exhaustive_search_output_does_not_depend_on_chunk_edges():
+    # 4^6 tuples: 4 chunks of 1024 with jobs=1, 12 of 342 (the last 334) with jobs=3.
+    config = SearchConfig(k=1, lam="3", ell=2, m_values=(3,))
+    one_job, three_jobs = (json.dumps(search(config, jobs=j), sort_keys=True) for j in (1, 3))
+    assert one_job == three_jobs
+
+
 # sha256 of json.dumps(search(config), sort_keys=True), recorded from the
 # string-based orbit check and RingElement code construction, so any change
 # to candidate order, orbit canonicalisation or tie-breaking shows here.
@@ -234,3 +241,16 @@ def test_search_config_validation():
     for k in (0, 4):
         with pytest.raises(ValueError, match="Gray images"):
             SearchConfig(k=k)
+    for k, lam in ((1, "u"), (1, "0"), (2, "2"), (2, "e")):
+        with pytest.raises(ValueError, match="must be a unit"):
+            SearchConfig(k=k, lam=lam)
+    for k, lam, notation in ((1, "zz", None), (2, "g", None), (2, "1+u9", "generic")):
+        with pytest.raises(ValueError):
+            SearchConfig(k=k, lam=lam, notation=notation)
+
+
+def test_search_that_evaluates_nothing_is_an_error():
+    # The only sample is the zero tuple.
+    cfg = SearchConfig(k=1, ell=1, m_values=(1,), mode="random", samples=1, seed=2)
+    with pytest.raises(ValueError, match="no candidate evaluated"):
+        search(cfg)

@@ -145,6 +145,9 @@ EXIT_CASES = [  # (argv, exit code): work that is empty, malformed or all over b
     (("image", "--k", "2", "--gen", "11", "--budget", "-5"), 2),
     (("search", "--k", "1", "--ell", "1", "--m", "2", "--budget", "-1"), 2),
     (("search", "--k", "1", "--ell", "30", "--m", "30"), 3),  # 2^1800 tuples over the cap
+    (("search", "--k", "1", "--lambda", "u", "--ell", "1", "--m", "2", "--budget", "0"), 2),
+    (("search", "--k", "1", "--ell", "1", "--m", "1", "--mode", "random", "--samples", "1",
+      "--seed", "2"), 2),  # the only sample is the zero tuple
 ]
 
 
@@ -175,6 +178,14 @@ def test_empty_stdin_batch_is_a_usage_error(capsys, monkeypatch, command):
 def test_budget_exit_code(capsys):
     rc, _ = run(capsys, "image", "--k", "2", "--gen", "11", "--budget", "3")
     assert rc == 3
+
+
+def test_build_is_not_capped_by_the_budget(capsys):
+    # 2^28 codewords, over the default 2^24 budget: build enumerates none of them.
+    rc, out = run(capsys, "build", "--k", "2", "--gen", "1000000", "--format", "json")
+    assert rc == 0
+    rec = json.loads(out)
+    assert rec["f2_dimension"] == 28 and rec["qt_invariant"] is True
 
 
 def test_module_entry_point():

@@ -123,11 +123,12 @@ def test_zero_code_has_no_min_distance():
 
 def test_budget_errors():
     code = QTCode.from_strings(2, ["11"])  # rank 4
+    img = binary_image(code)  # building the image enumerates nothing
+    assert img.rank == 4
     with pytest.raises(BudgetError):
-        binary_image(code, budget=3)
+        img.weight_enumerator(budget=3)
     with pytest.raises(BudgetError):
         list(enumerate_codewords(code, budget=3))
-    img = binary_image(code)
     with pytest.raises(BudgetError):
         img.min_distance(budget=3)
 

@@ -1,9 +1,12 @@
-"""Every name a module under src/rkcodes/ imports is used in that module.
+"""Every name a module under src/rkcodes/ imports is used in that module,
+and every module-level _private function or class is used in the package.
 
-Deleting a function often leaves its imports behind; this guard finds them
-with the standard library's ast module alone.  A name counts as used when
-it appears as a Name node (attribute access such as json.dumps included)
-or is listed in the module's __all__.
+Deleting a function often leaves its imports or its private helpers
+behind; these guards find them with the standard library's ast module
+alone.  An import counts as used when it appears as a Name node (attribute
+access such as json.dumps included) or is listed in the module's __all__.
+A private definition counts as used when its name appears as a Name or an
+attribute outside its own definition, in any module of the package.
 """
 
 from __future__ import annotations
@@ -35,6 +38,23 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unused_private_defs(sources: dict[str, str]) -> list[str]:
+    """'module:name' of every module-level _private def or class no other statement names."""
+    defined: list[tuple[str, str]] = []
+    used: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.append((module, own))
+            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
+            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            used |= names - {own}  # a recursive call is not a use
+    return sorted(f"{module}:{name}" for module, name in defined if name not in used)
+
+
 def test_guard_finds_unused_imports():
     source = (
         "from __future__ import annotations\n"
@@ -56,3 +76,23 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_finds_unused_private_defs():
+    sources = {
+        "a": (
+            "def _used(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Orphan: pass\n"
+            "def __getattr__(name): pass\n"
+            "def public(): return _used()\n"
+        ),
+        "b": "import a\ndef _via_attribute(): pass\nx = a._elsewhere\n"
+              "def _elsewhere(): pass\nfrom a import _imported_only\n",
+    }
+    assert unused_private_defs(sources) == ["a:_Orphan", "a:_recursive", "b:_via_attribute"]
+
+
+def test_no_unused_private_defs():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unused_private_defs(sources) == []

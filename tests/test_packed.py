@@ -4,7 +4,9 @@ The oracles below are the implementations the flat-int code replaced:
 module spans by RingElement multiplication, twisted shifts (in spanning
 rows and in the shift-invariance check) by polyqt.shift_n, Gray images by
 GrayMap.image on every codeword, and the search orbit check on formatted
-generator strings.
+generator strings.  Search builds codes straight from digit tuples, so the
+QTCode it used to build per candidate, and the base-2^(2^k) decode of a
+tuple index, are oracles too.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkcodes.analysis import _orbit_min_string, _orbit_tokens
+from rkcodes import analysis
+from rkcodes.analysis import _evaluate_chunk, _orbit_min_string, _orbit_tokens
 from rkcodes.codes import (
     BinaryCode,
     QTCode,
+    _span_of_flat,
     binary_image_of_span,
     code_span,
     flatten_vec,
+    generator_rows,
     interleave,
     module_span,
     qt_generator_matrix,
@@ -31,7 +36,7 @@ from rkcodes.codes import (
 from rkcodes.gf2 import F2Span
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import format_generator, shift, shift_n
-from rkcodes.ring import RingElement, units
+from rkcodes.ring import RingElement, elements, parse_element, units
 
 
 def oracle_module_span(rows) -> tuple[int, ...]:
@@ -137,7 +142,7 @@ def test_rows_shift_invariant_matches_shift_n(k):
         else:
             rows = [random_vec(rng, k, ell * m) for _ in range(rng.randint(1, 2))]
         for steps in range(1, ell * m + 1):
-            got = rows_shift_invariant(rows, lam, steps, budget=64)
+            got = rows_shift_invariant(rows, lam, steps)
             assert got == oracle_rows_shift_invariant(rows, lam, steps), (rows, lam, steps)
             outcomes.add(got)
     assert outcomes == {True, False}
@@ -218,3 +223,60 @@ def test_orbit_min_string_matches_formatted_orbit(case):
     assert _orbit_min_string(digits, tokens, lam_times, m) == oracle_orbit_min_string(
         blocks, lam, notation
     )
+
+
+DIGIT_SHAPES = [  # (k, notation, lambda, ell, m)
+    (1, "r1", "3", 3, 3),
+    (2, "hex", "1", 2, 3),
+    (2, "hex", "b", 2, 3),
+    (3, "generic", "1+u1+u2u3", 2, 2),
+]
+
+
+@pytest.mark.parametrize("k, notation, lam_text, ell, m", DIGIT_SHAPES)
+def test_span_from_digits_matches_qtcode(k, notation, lam_text, ell, m):
+    lam = parse_element(lam_text, k, notation)
+    ring = tuple(elements(k))
+    size = len(ring)
+    rng = random.Random(ell * m + k)
+    for trial in range(200):
+        alphabet = range(0, size, 1 + trial % 2)  # nonunit digits give non-free modules
+        digits = [rng.choice(alphabet) for _ in range(ell * m)]
+        # Oracle: the RingElement blocks of the digits, as a QTCode holds them.
+        blocks = tuple(
+            tuple(map(ring.__getitem__, digits[lo : lo + m])) for lo in range(0, ell * m, m)
+        )
+        code = QTCode(lam, ell, m, (blocks,))
+        span = _span_of_flat(k, ell * m, generator_rows(k, lam.coeffs, ell, m, digits))
+        assert span == code_span(code), (digits, lam_text)
+        if trial < 20:
+            assert span.basis == oracle_module_span(oracle_spanning_rows(code))
+
+
+def old_exhaustive_digits(idx: int, size: int, positions: int) -> list[int]:
+    """Digit j is the j-th least significant base-size digit of idx."""
+    digits = []
+    for _ in range(positions):
+        digits.append(idx % size)
+        idx //= size
+    return digits
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 4096), (0, 1), (1, 2), (5, 6), (63, 129), (1024, 2048), (2047, 2049), (4095, 4096), (9, 9)],
+)
+def test_exhaustive_chunk_digits_match_base_size_decode(monkeypatch, lo, hi):
+    k, ell, m = 1, 2, 3  # 4^6 = 4096 tuples
+    seen = []
+    orbit_min = analysis._orbit_min_string
+
+    def recording(digits, *rest):
+        seen.append(list(digits))
+        return orbit_min(digits, *rest)
+
+    monkeypatch.setattr(analysis, "_orbit_min_string", recording)
+    payload = {"k": k, "lam": "3", "ell": ell, "m": m, "budget": 24, "notation": None}
+    _evaluate_chunk(dict(payload, index_range=(lo, hi)))
+    expected = [old_exhaustive_digits(idx, 4, ell * m) for idx in range(lo, hi)]
+    assert seen == [d for d in expected if any(d)]
