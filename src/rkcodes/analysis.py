@@ -29,8 +29,9 @@ from rkcodes.codes import (
     flatten_vec,
     generator_rows,
     grade_scaled,
-    hom_counts,
-    residue_word,
+    hom_minima,
+    qc_index,
+    residue_split,
     unflatten_vec,
 )
 from rkcodes.gf2 import F2Span
@@ -103,8 +104,6 @@ def verify_tables(
         img = binary_image(code)
         computed = [img.length, img.rank, img.min_distance(budget) if img.rank else None]
         expected = [row.n, row.dim, row.d]
-        qc_index = unit_count(row.k) * row.ell
-        qc_ok = img.qc_index_check(qc_index) if code.lam.coeffs == 1 else None
         reports.append(
             {
                 "table": row.table,
@@ -117,7 +116,7 @@ def verify_tables(
                 "computed": computed,
                 "status": "MATCH" if computed == expected else "MISMATCH",
                 "self_orthogonal": img.is_self_orthogonal(),
-                "qc_index": qc_index if qc_ok else None,
+                "qc_index": qc_index(code, img),
                 "notes": row.notes,
             }
         )
@@ -170,16 +169,10 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     _check_budget(span.rank, budget)
     k, n = span.k, span.n
     g = gamma(k)
-    # One RREF of residue(b) | b << n: rows pivoting below n carry the
-    # residue code's basis, the others (shifted down) the residue kernel's.
-    low = (1 << n) - 1
-    joint = F2Span(residue_word(b, k, n) | b << n for b in span.basis).basis()
-    res = BinaryCode.from_rows(n, [r & low for r in joint if r & low])
-    kernel = [r >> n for r in joint if not r & low]
-    counts = hom_counts(k, n, span.basis)
-    nonkernel = counts - hom_counts(k, n, kernel)
-    d_hom = min(w for w in counts if w) if span.rank else None
-    d_nonkernel = min(nonkernel) if nonkernel else None
+    residues, lifts, kernel = residue_split(k, n, span.basis)  # a code span is a module
+    res = BinaryCode.from_rows(n, residues)
+    d_kernel, d_nonkernel = hom_minima(k, n, lifts, kernel)
+    d_hom = min((d for d in (d_kernel, d_nonkernel) if d is not None), default=None)
     d_res = res.min_distance(budget) if res.rank else None
     lower = g * d_res if d_res is not None else None
     upper = 2 * g * d_res if d_res is not None else None

@@ -27,7 +27,7 @@ from rkcodes.codes import (
     code_record,
     code_span,
     hom_weight_enumerator,
-    is_qt_invariant,
+    span_shift_invariant,
 )
 from rkcodes.gf2 import bits_to_str, str_to_bits
 from rkcodes.graymap import GrayMap
@@ -200,7 +200,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "n": code.n,
             "generators": code.generator_strings(args.notation),
             "f2_dimension": span.rank,
-            "qt_invariant": is_qt_invariant(code),
+            "qt_invariant": span_shift_invariant(span, code.lam, code.ell),
         })
     _emit_rows(
         rows,

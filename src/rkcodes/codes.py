@@ -16,7 +16,10 @@ map, through the generating character chi: w(x) = #{u in U : chi(u*x) = -1}
 (ring.character_table).  That count is the popcount of an F2-linear image
 of x, so the basis rows are mapped once, through a byte table of the same
 kind, and the span of the mapped rows is weighed by int.bit_count like a
-binary image.
+binary image.  1 + u_top is a unit, so y and y + u_top*y weigh the same:
+an R_k-module of more than one block weighs one word of each such pair
+(residue_split, hom_counts), and hom_minima walks those pairs for minima
+only.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -34,9 +37,19 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from rkcodes.gf2 import F2Span, rotate_bits, span_counts, span_iter, span_min_weight
+from rkcodes.gf2 import (
+    LOW_ROWS,
+    F2Span,
+    min_weight,
+    popcounts,
+    rotate_bits,
+    span_block,
+    span_counts,
+    span_iter,
+    span_min_weight,
+)
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import (
     Polynomial,
@@ -257,27 +270,30 @@ def enumerate_codewords(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> Iter
     return code_span(code).codewords(budget)
 
 
-def rows_shift_invariant(
-    rows: Sequence[Sequence[RingElement]],
-    lam: RingElement,
-    ell: int,
-) -> bool:
-    """True iff T_lambda^ell maps the module span of the rows into itself."""
-    span = module_span(rows)
+def span_shift_invariant(span: ModuleSpan, lam: RingElement, ell: int) -> bool:
+    """True iff T_lambda^ell maps the span into itself, checked on every basis row."""
     if lam.k != span.k or not lam.is_unit:
         raise ValueError(f"twist lambda must be a unit of R_{span.k}")
     if not 1 <= ell <= span.n:
         raise ValueError(f"shift {ell} outside 1..{span.n}")
     f2 = F2Span(span.basis)
     return all(
-        word in f2  # the row itself, then its shift
-        for flat in map(flatten_vec, rows)
-        for word in islice(_twisted_shifts(flat, span.k, span.n, lam.coeffs, ell), 2)
+        next(islice(_twisted_shifts(flat, span.k, span.n, lam.coeffs, ell), 1, None)) in f2
+        for flat in span.basis
     )
 
 
+def rows_shift_invariant(
+    rows: Sequence[Sequence[RingElement]],
+    lam: RingElement,
+    ell: int,
+) -> bool:
+    """True iff T_lambda^ell maps the module span of the rows into itself."""
+    return span_shift_invariant(module_span(rows), lam, ell)
+
+
 def is_qt_invariant(code: QTCode) -> bool:
-    return rows_shift_invariant(spanning_rows(code), code.lam, code.ell)
+    return span_shift_invariant(code_span(code), code.lam, code.ell)
 
 
 class WeightEnumerator:
@@ -336,7 +352,7 @@ class BinaryCode:
 
     @cached_property
     def _weight_counts(self) -> dict[int, int]:
-        return span_counts(self.rows, partial(map, int.bit_count))
+        return span_counts(self.rows, popcounts)
 
     def weight_enumerator(self, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
         _check_budget(self.rank, budget)
@@ -346,7 +362,7 @@ class BinaryCode:
         _check_budget(self.rank, budget)
         if self.rank == 0:
             raise ValueError("the zero code has no minimum distance")
-        return span_min_weight(self.rows)
+        return min_weight(self.rows)
 
     def is_self_orthogonal(self) -> bool:
         rows = self.rows
@@ -440,15 +456,105 @@ def binary_image(code: QTCode) -> BinaryCode:
     return binary_image_of_span(code_span(code))
 
 
+def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
+    """(rows -> rows, weigher) under which a flat word weighs its homogeneous weight.
+
+    For k <= K_MAX the rows go through ring.character_table (see the module
+    docstring) and words weigh their popcount; wider rows stay as they are
+    and each word is weighed one RingElement at a time.
+    """
+    if k <= K_MAX:
+        return partial(_map_coordinates, k, n, character=True), popcounts
+    return list, partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
+
+
+def residue_split(
+    k: int, n: int, basis: Sequence[int]
+) -> tuple[list[int], list[int], list[int]] | None:
+    """(residues, lifts, kernel): the F2-span of flat words split at the residue map.
+
+    One RREF of residue(b) | b << n: the rows with a nonzero residue part
+    give the residue code's basis (residues) and one lift r_i of each row
+    (lifts); the other rows, shifted down, span the residue kernel.  The
+    product t_i = u_top * r_i depends on residue(r_i) alone and lies in the
+    kernel exactly when the span is closed under u_top, as every R_k-module
+    is.  Then the kernel basis returned starts with t_1..t_a, in lift order;
+    otherwise the result is None.
+    """
+    low = (1 << n) - 1
+    joint = F2Span(residue_word(b, k, n) | b << n for b in basis).basis()
+    lifted = [r for r in joint if r & low]
+    lifts = [r >> n for r in lifted]
+    top, mask = _monomial_masks(k, n)[-1]
+    tops = [(r & mask) << top for r in lifts]
+    kernel = F2Span(tops)
+    rest = [r >> n for r in joint if not r & low]
+    completion = [row for row in rest if kernel.add(row)]
+    if len(tops) + len(completion) != len(rest):
+        return None
+    return [r & low for r in lifted], lifts, tops + completion
+
+
+def _paired_cosets(lifts: list[int], kernel: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """(r_i, basis) of each coset r_i + span(r_<i, t_j for j != i, the rest of the kernel).
+
+    lifts and kernel as residue_split gives them, in any rows -> rows view.
+    1 + u_top is a unit, so y and y + u_top*y = y + (sum of t_j over the
+    lifts r_j in y) have one homogeneous weight.  Outside the kernel the two
+    differ in t_i for the last lift r_i in y, so these cosets hold one word
+    of every such pair.
+    """
+    for i, start in enumerate(lifts):
+        yield start, lifts[:i] + kernel[:i] + kernel[i + 1:]
+
+
 def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
     """Homogeneous weight -> count over the F2-span of flat length-n words over R_k.
 
-    For k <= K_MAX the basis rows go through ring.character_table (see the
-    module docstring); wider coordinates are weighed one RingElement at a time.
+    A span of more than one block that is closed under u_top is weighed as
+    its residue kernel plus twice the paired cosets: with b the kernel's
+    rank, 2^b + 2^(rank-1) - 2^(b-1) words instead of 2^rank.
     """
-    if k <= K_MAX:
-        return span_counts(_map_coordinates(k, n, basis, True), partial(map, int.bit_count))
-    return span_counts(basis, partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n))))
+    image, weigh = _hom_view(k, n)
+    split = residue_split(k, n, basis) if len(basis) > LOW_ROWS else None
+    if split is None:
+        return span_counts(image(basis), weigh)
+    _, lifts, kernel = split
+    lifts, kernel = image(lifts), image(kernel)
+    paired: Counter = Counter()
+    for start, rows in _paired_cosets(lifts, kernel):
+        paired.update(span_counts(rows, weigh, start))
+    return span_counts(kernel, weigh) + paired + paired
+
+
+def hom_minima(
+    k: int, n: int, lifts: list[int], kernel: list[int]
+) -> tuple[int | None, int | None]:
+    """Smallest homogeneous weight of a nonzero word inside the residue kernel, and outside it.
+
+    lifts and kernel as residue_split gives them; None stands for no word.
+    One block is walked as [kernel, lifts] in span_iter order, so its first
+    2^len(kernel) words are the kernel.  A larger span takes the kernel's
+    minimum by information sets (k <= K_MAX) and the other from the paired
+    cosets.
+    """
+    image, weigh = _hom_view(k, n)
+    lifts, kernel = image(lifts), image(kernel)
+    if len(lifts) + len(kernel) <= LOW_ROWS:
+        weights = list(weigh(iter(span_block(kernel + lifts))))
+        split = 1 << len(kernel)
+        return min(weights[1:split], default=None), min(weights[split:], default=None)
+    if not kernel:
+        d_kernel = None
+    elif k <= K_MAX:
+        d_kernel = min_weight(kernel)
+    else:
+        d_kernel = span_min_weight(kernel, weigh)
+    d_nonkernel = min(
+        (span_min_weight(rows, weigh, start) for start, rows in _paired_cosets(lifts, kernel)),
+        default=None,
+    )
+    return d_kernel, d_nonkernel
 
 
 def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
@@ -500,6 +606,12 @@ def qc_equivalent(code: QTCode) -> QTCode:
     return QTCode(one(code.k), code.ell, code.m, gens)
 
 
+def qc_index(code: QTCode, img: BinaryCode) -> int | None:
+    """s = |U|*ell when lambda = 1 and the binary image is s-quasicyclic, else None."""
+    s = unit_count(code.k) * code.ell  # divides the image length ell*m*|U|
+    return s if code.lam.coeffs == 1 and img.qc_index_check(s) else None
+
+
 def code_record(
     code: QTCode,
     budget: int = DEFAULT_BUDGET_LOG2,
@@ -508,8 +620,6 @@ def code_record(
     """JSON-ready summary of a code and its binary image."""
     img = binary_image(code)
     enum = img.weight_enumerator(budget)
-    s = unit_count(code.k) * code.ell  # divides the image length ell*m*|U|
-    qc_index = s if code.lam.coeffs == 1 and img.qc_index_check(s) else None
     return {
         "k": code.k,
         "lambda": format_element(code.lam, notation),
@@ -524,6 +634,6 @@ def code_record(
         },
         "flags": {
             "self_orthogonal": img.is_self_orthogonal(),
-            "qc_index": qc_index,
+            "qc_index": qc_index(code, img),
         },
     }

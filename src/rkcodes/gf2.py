@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
+from itertools import chain, islice
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 LOW_ROWS = 10  # span_counts blocks hold 2^LOW_ROWS words
@@ -76,29 +79,32 @@ def span_iter(basis: Sequence[int]) -> Iterator[int]:
         yield cur
 
 
-def _low_block(basis: Sequence[int]) -> list[int]:
-    """The span of the first LOW_ROWS rows, in span_iter order (0 first)."""
-    block = [0]
+def span_block(basis: Sequence[int], start: int = 0) -> list[int]:
+    """start ^ the span of the first LOW_ROWS rows, in span_iter order (start first)."""
+    block = [start]
     for row in basis[:LOW_ROWS]:
         block += [row ^ x for x in block]
     return block
 
 
-def span_counts(
-    basis: Sequence[int], weigh: Callable[[Iterator[int]], Iterable[int]]
-) -> Counter:
-    """Weight -> count over all 2^len(basis) XOR-combinations of basis rows.
+popcounts = partial(map, int.bit_count)  # weigher for Hamming weights
 
-    The span of the first LOW_ROWS rows is built once as a block of ints;
-    every combination h of the remaining rows (in span_iter order) then
-    contributes the block h ^ block.  weigh receives each block as an
-    iterator of words and returns one weight per word, so a weigher built
-    from map() over a C-level callable such as int.bit_count costs a few C
-    calls per word and one Python iteration per 2^LOW_ROWS words.  Memory
-    is one block, whatever the rank.  A basis of at most LOW_ROWS rows is
-    one block and is weighed as it stands.
+
+def span_counts(
+    basis: Sequence[int], weigh: Callable[[Iterator[int]], Iterable[int]], start: int = 0
+) -> Counter:
+    """Weight -> count over the 2^len(basis) words start ^ (XOR-combination of basis rows).
+
+    The coset start ^ span of the first LOW_ROWS rows is built once as a
+    block of ints; every combination h of the remaining rows (in span_iter
+    order) then contributes the block h ^ block.  weigh receives each block
+    as an iterator of words and returns one weight per word, so a weigher
+    built from map() over a C-level callable such as int.bit_count costs a
+    few C calls per word and one Python iteration per 2^LOW_ROWS words.
+    Memory is one block, whatever the rank.  A basis of at most LOW_ROWS
+    rows is one block and is weighed as it stands.
     """
-    block = _low_block(basis)
+    block = span_block(basis, start)
     if len(basis) <= LOW_ROWS:
         return Counter(weigh(iter(block)))
     counts: Counter = Counter()
@@ -107,23 +113,121 @@ def span_counts(
     return counts
 
 
-def span_min_weight(basis: Sequence[int]) -> int:
-    """Smallest Hamming weight of a nonzero word in the span of independent rows.
+def span_min_weight(
+    basis: Sequence[int],
+    weigh: Callable[[Iterator[int]], Iterable[int]] = popcounts,
+    start: int = 0,
+) -> int:
+    """Smallest weight of a nonzero word of start ^ span(basis), for independent rows.
 
     Walks the same blocks as span_counts but keeps only each block's
-    minimum popcount.  The zero word is the first word of the first block
-    and is skipped; with independent rows no other combination is zero.
+    minimum.  start must be 0 or outside the span.  Then the zero word
+    occurs only for start = 0, as the first word of the first block, and
+    is skipped.
     """
-    if not basis:
+    if not basis and not start:
         raise ValueError("the zero span has no nonzero word")
-    block = _low_block(basis)
-    best = min(map(int.bit_count, block[1:]))
+    block = span_block(basis, start)
+    best = min(weigh(iter(block) if start else islice(block, 1, None)))
     if len(basis) > LOW_ROWS:
         high = span_iter(basis[LOW_ROWS:])
         next(high)  # h = 0: the block itself, done above
         for h in high:
-            best = min(best, min(map(int.bit_count, map(h.__xor__, block))))
+            best = min(best, min(weigh(map(h.__xor__, block))))
     return best
+
+
+def _systematic(basis: Sequence[int], columns: int) -> tuple[list[int], int] | None:
+    """(rows, pivots): the span of independent rows, reduced on pivots inside columns.
+
+    Each row has one pivot bit in columns that no other row has.  None when
+    the rows restricted to columns have rank below len(basis).
+    """
+    rows: dict[int, int] = {}  # pivot bit -> row
+    for v in basis:
+        for p, row in rows.items():
+            if v & p:
+                v ^= row
+        free = v & columns
+        if not free:
+            return None
+        p = free & -free
+        for q, row in rows.items():
+            if row & p:
+                rows[q] = row ^ v
+        rows[p] = v
+    return list(rows.values()), sum(rows)
+
+
+def _grow(
+    rows: Sequence[int], level: list[list[int]], best: int, keep: bool
+) -> tuple[int, list[list[int]] | None]:
+    """Every subset in level with one more row: (min(best, their least popcount), grown level).
+
+    level[i] holds the XORs of the subsets whose largest row index is i.
+    Row i goes onto every subset whose largest index is below i, which makes
+    each larger subset exactly once.  The grown level is kept only when
+    asked for (else None), so the last level is weighed without being stored.
+    """
+    below: list[int] = []
+    grown = []
+    for row, group in zip(rows, level):
+        words = map(row.__xor__, below)
+        if keep:
+            words = list(words)
+            grown.append(words)
+        best = min(best, min(map(int.bit_count, words), default=best))
+        below += group
+    return best, grown if keep else None
+
+
+def info_set_min_weight(basis: Sequence[int]) -> int:
+    """Smallest Hamming weight of a nonzero word in the span of independent rows.
+
+    Brouwer-Zimmermann information sets.  The span gets t bases, each
+    systematic on its own set of pivot columns, the sets disjoint: taken
+    greedily, each on the columns no earlier set holds, until the rows have
+    rank below len(basis) on what is left (such a short basis is dropped).
+    A word is a combination of some w_j rows of basis j and has w_j ones on
+    set j, so once every combination of at most w rows of every basis is
+    weighed, each word not yet seen weighs at least t*(w+1).  The search
+    stops when that reaches the smallest weight seen.  A combination costs
+    a few times what a word of the plain walk costs, so when the levels
+    still needed to reach the best weight so far hold, with those already
+    weighed, more than 2^(rank-2) words, the span is walked instead.
+    """
+    rank = len(basis)
+    if not rank:
+        raise ValueError("the zero span has no nonzero word")
+    sets = []
+    columns = (1 << max(basis).bit_length()) - 1
+    while (found := _systematic(basis, columns)) is not None:
+        sets.append(found[0])
+        columns &= ~found[1]
+    t = len(sets)
+    best = min(map(int.bit_count, chain(basis, *sets)))  # level 1: each row alone
+    levels = [[[row] for row in rows] for rows in sets]
+    weighed = t * rank
+    for w in range(2, rank + 1):
+        if t * w >= best:
+            return best
+        last = -(-best // t) - 1  # after level last, t*(last+1) >= best: the loop ends
+        if weighed + t * sum(comb(rank, v) for v in range(w, last + 1)) > (1 << rank) >> 2:
+            return span_min_weight(basis)
+        for j, rows in enumerate(sets):
+            best, levels[j] = _grow(rows, levels[j], best, w < last)
+        weighed += t * comb(rank, w)
+    return best
+
+
+def min_weight(basis: Sequence[int]) -> int:
+    """Smallest Hamming weight of a nonzero word in the span of independent rows.
+
+    A basis of one block is walked; a larger one goes by information sets.
+    """
+    if len(basis) <= LOW_ROWS:
+        return span_min_weight(basis)
+    return info_set_min_weight(basis)
 
 
 def rotate_bits(v: int, s: int, length: int) -> int:

@@ -14,14 +14,18 @@ from rkcodes.analysis import bound_check
 from rkcodes.codes import (
     QTCode,
     WeightEnumerator,
+    _map_coordinates,
     code_span,
     hom_counts,
+    hom_minima,
     hom_weight_enumerator,
+    module_span,
     residue_code,
+    residue_split,
     unflatten_vec,
 )
 from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_iter
-from rkcodes.ring import RingElement, gamma, units
+from rkcodes.ring import K_MAX, RingElement, gamma, hom_weight_vec, units
 
 hamming = partial(map, int.bit_count)
 
@@ -33,8 +37,8 @@ def random_basis(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
     return span.basis()
 
 
-def random_codes(seed: int, count: int, ks=(1, 2, 3), max_rank: int = 13):
-    """Random QT codes over R_k, k in ks, of F2 rank at most max_rank."""
+def random_codes(seed: int, count: int, ks=(1, 2, 3), max_rank: int = 13, min_rank: int = 0):
+    """Random QT codes over R_k, k in ks, of F2 rank in min_rank..max_rank."""
     rng = random.Random(seed)
     max_n = {1: 6, 2: 4, 3: 2}
     out = []
@@ -53,7 +57,7 @@ def random_codes(seed: int, count: int, ks=(1, 2, 3), max_rank: int = 13):
         if not any(e for gen in gens for block in gen for e in block):
             continue
         code = QTCode(lam, ell, m, gens)
-        if code_span(code).rank <= max_rank:
+        if min_rank <= code_span(code).rank <= max_rank:
             out.append(code)
     return out
 
@@ -103,6 +107,70 @@ def test_hom_counts_matches_per_word_weights(data):
     basis = F2Span(rows).basis()
     words = (unflatten_vec(flat, k, n) for flat in span_iter(basis))
     assert hom_counts(k, n, basis) == Counter(sum(e.hom_weight() for e in word) for word in words)
+
+
+def walked_hom_counts(k: int, n: int, basis) -> Counter:
+    """Every word of the span weighed: character rows by popcount, or RingElements past K_MAX."""
+    if k <= K_MAX:
+        return span_counts(_map_coordinates(k, n, basis, True), hamming)
+    return Counter(hom_weight_vec(unflatten_vec(flat, k, n)) for flat in span_iter(basis))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_paired_hom_counts_match_the_walk_on_module_spans(k):
+    codes = random_codes(10 + k, 12, ks=(k,), max_rank=20, min_rank=LOW_ROWS + 1)
+    assert any(code.lam.coeffs != 1 for code in codes)
+    for code in codes:
+        span = code_span(code)
+        assert residue_split(span.k, span.n, span.basis) is not None  # paired
+        assert hom_counts(k, span.n, span.basis) == walked_hom_counts(k, span.n, span.basis), code
+
+
+def test_paired_hom_counts_past_k_max():
+    code = QTCode.from_strings(4, ["u1u2,u3u4+u1u2u3u4"], lam="1+u1", notation="generic")
+    span = code_span(code)
+    assert span.rank > LOW_ROWS and residue_split(4, span.n, span.basis) is not None
+    assert hom_counts(4, span.n, span.basis) == walked_hom_counts(4, span.n, span.basis)
+
+
+def test_hom_counts_walks_spans_not_closed_under_u_top():
+    # lifts and the kernel without the u_top multiples of the lifts: no pairing
+    k, n = 2, 4
+    span = code_span(QTCode.from_strings(k, ["2461"]))
+    _, lifts, kernel = residue_split(k, n, span.basis)
+    basis = F2Span(lifts + kernel[len(lifts):]).basis()
+    assert len(basis) > LOW_ROWS and residue_split(k, n, basis) is None
+    assert hom_counts(k, n, basis) == walked_hom_counts(k, n, basis)
+
+
+# codes of rank 12 inside the maximal ideal: every word in the residue kernel
+IDEAL_GENERATORS = {
+    1: "u1,u1,0,u1,0,0,0,0,0,0,0,0",
+    2: "u1,u2,u1+u2,u1u2,u1+u1u2,u2+u1u2",
+    3: "u1,u2|u3,u1u2",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_hom_minima_match_the_walk(k):
+    codes = random_codes(20 + k, 15, ks=(k,), max_rank=18, min_rank=LOW_ROWS + 1)
+    codes.append(QTCode.from_strings(k, [IDEAL_GENERATORS[k]], notation="generic"))
+    for code in codes:
+        span = code_span(code)
+        _, lifts, kernel = residue_split(k, span.n, span.basis)
+        inside = walked_hom_counts(k, span.n, kernel)
+        outside = walked_hom_counts(k, span.n, span.basis) - inside
+        expected = min((w for w in inside if w), default=None), min(outside, default=None)
+        assert hom_minima(k, span.n, lifts, kernel) == expected, code
+
+
+def test_hom_minima_when_one_kernel_row_holds_the_minimum():
+    # free over R_1, so the kernel is u * (residue code): its one lightest word is u * row 0
+    rows = [0b11] + [0b1111 << (2 + 4 * i) for i in range(5)]
+    span = module_span([tuple(RingElement(1, r >> c & 1) for c in range(22)) for r in rows])
+    _, lifts, kernel = residue_split(1, 22, span.basis)
+    assert span.rank > LOW_ROWS
+    assert hom_minima(1, 22, lifts, kernel) == (4, 2)
 
 
 def oracle_bound_check(code: QTCode) -> dict:
@@ -156,8 +224,9 @@ def oracle_bound_check(code: QTCode) -> dict:
 
 
 def test_bound_check_matches_per_word_loop():
-    codes = random_codes(2024, 60)
-    assert any(code_span(c).rank > LOW_ROWS for c in codes)
+    codes = random_codes(2024, 60) + random_codes(2025, 12, max_rank=14, min_rank=LOW_ROWS + 1)
+    assert sum(code_span(c).rank > LOW_ROWS for c in codes) > 12
+    codes.append(QTCode.from_strings(2, ["00|00"]))  # the zero code
     # past K_MAX: no character table, coordinates weighed one at a time
     codes.append(QTCode.from_strings(4, ["1+u1|u2u3"], notation="generic"))
     for code in codes:

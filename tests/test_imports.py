@@ -1,17 +1,21 @@
 """Every name a module under src/rkcodes/ imports is used in that module,
-and every module-level _private function or class is used in the package.
+every module-level _private function or class is used in the package, and
+every import names rkcodes or a module of the standard library.
 
 Deleting a function often leaves its imports or its private helpers
 behind; these guards find them with the standard library's ast module
 alone.  An import counts as used when it appears as a Name node (attribute
 access such as json.dumps included) or is listed in the module's __all__.
 A private definition counts as used when its name appears as a Name or an
-attribute outside its own definition, in any module of the package.
+attribute outside its own definition, in any module of the package.  The
+package has no dependencies: numpy, hypothesis and pytest are installed for
+the tests only, so a kernel that imports one would break a plain install.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +57,35 @@ def unused_private_defs(sources: dict[str, str]) -> list[str]:
             names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
             used |= names - {own}  # a recursive call is not a use
     return sorted(f"{module}:{name}" for module, name in defined if name not in used)
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported that are neither rkcodes nor in the standard library."""
+    roots: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return sorted(r for r in roots if r != "rkcodes" and r not in sys.stdlib_module_names)
+
+
+def test_guard_finds_foreign_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from collections import Counter\n"
+        "from rkcodes.gf2 import F2Span\n"
+        "from . import ring\n"
+        "def f():\n"
+        "    import hypothesis.strategies\n"
+    )
+    assert foreign_imports(source) == ["hypothesis", "numpy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
 
 
 def test_guard_finds_unused_imports():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rkcodes.polyqt import (
     Polynomial,
@@ -20,7 +22,7 @@ from rkcodes.polyqt import (
     shift_n,
     twistulant,
 )
-from rkcodes.ring import RingElement, elements, one, parse_element, zero
+from rkcodes.ring import NOTATIONS, RingElement, elements, one, parse_element, zero
 
 LAM1 = one(1)
 THREE = RingElement(1, 0b11)  # 1+u
@@ -207,3 +209,23 @@ def test_generator_parsing_roundtrip():
     assert len(gen3) == 1 and len(gen3[0]) == 3
     assert format_generator(gen3) == "1+u1,0,u2"
     assert format_block(parse_block("0u", 1)) == "0u"
+
+
+@st.composite
+def generator_cases(draw):
+    """(notation, k, generator tuple): ell blocks of m elements of R_k."""
+    notation = draw(st.sampled_from(NOTATIONS))
+    k = {"r1": 1, "hex": 2}.get(notation) or draw(st.integers(1, 6))
+    ell, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    digit = st.integers(0, (1 << (1 << k)) - 1).map(lambda c: RingElement(k, c))
+    block = st.lists(digit, min_size=m, max_size=m).map(tuple)
+    return notation, k, tuple(draw(st.lists(block, min_size=ell, max_size=ell)))
+
+
+@given(generator_cases())
+def test_generator_string_roundtrip_property(case):
+    notation, k, gen = case
+    text = format_generator(gen, notation)
+    assert parse_generator(text, k, notation) == gen
+    assert parse_generator(f"({text})", k, notation) == gen
+    assert format_generator(parse_generator(text, k, notation), notation) == text

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rkcodes.ring import (
     K_MAX,
@@ -66,6 +68,26 @@ def test_mul_unital_commutative_associative_distributive():
                 for c in elems:
                     assert (a * b) * c == a * (b * c)
                     assert a * (b + c) == a * b + a * c
+
+
+def ring_elements(k: int, count: int):
+    return st.lists(
+        st.builds(RingElement, st.just(k), st.integers(0, (1 << (1 << k)) - 1)),
+        min_size=count,
+        max_size=count,
+    )
+
+
+@given(st.integers(3, 6).flatmap(lambda k: ring_elements(k, 3)))
+def test_ring_axioms_k3_to_k6(abc):
+    a, b, c = abc
+    k = a.k
+    assert a * one(k) == a and a + zero(k) == a and a * zero(k) == zero(k)
+    assert a + a == zero(k)  # characteristic 2
+    assert a * b == b * a and a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * a == (one(k) if a.is_unit else zero(k))
 
 
 def test_units_square_to_one_nonunits_to_zero():
@@ -248,6 +270,24 @@ def test_parse_format_roundtrip():
         assert parse_element(format_element(a, "generic"), 2, "generic") == a
     for a in elements(3):
         assert parse_element(format_element(a), 3) == a
+
+
+NOTATION_RINGS = {"r1": (1,), "hex": (2,), "generic": (1, 2, 3, 4, 5, 6)}
+
+
+@given(
+    st.sampled_from(sorted(NOTATION_RINGS)).flatmap(
+        lambda notation: st.tuples(
+            st.just(notation),
+            st.sampled_from(NOTATION_RINGS[notation]).flatmap(lambda k: ring_elements(k, 1)),
+        )
+    )
+)
+def test_parse_format_roundtrip_property(case):
+    notation, (a,) = case
+    text = format_element(a, notation)
+    assert parse_element(text, a.k, notation) == a
+    assert format_element(parse_element(text, a.k, notation), notation) == text
 
 
 def test_parse_errors():
