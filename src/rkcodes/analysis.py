@@ -327,9 +327,8 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
     lam_times = [(lam * e).coeffs for e in elements(k)]
     if "index_range" in payload:
         lo, hi = payload["index_range"]
-        # Tuple idx of product is idx in base 2^(2^k), most significant digit first.
         every = product(range(1 << (1 << k)), repeat=ell * m)
-        candidates = (t[::-1] for t in islice(every, lo, hi))
+        candidates = islice(every, lo, hi)
     else:
         candidates = payload["tuples"]
 

@@ -31,7 +31,7 @@ from rkcodes.codes import (
 )
 from rkcodes.gf2 import bits_to_str, str_to_bits
 from rkcodes.graymap import GrayMap
-from rkcodes.ring import K_MAX, format_element, parse_element
+from rkcodes.ring import format_element, parse_element
 
 
 def _parent_parser() -> argparse.ArgumentParser:
@@ -87,12 +87,6 @@ def _require(args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is None:
             raise ValueError(f"--{name} is required for this command")
-
-
-def _require_gray_k(args: argparse.Namespace) -> None:
-    _require(args, "k")
-    if not 1 <= args.k <= K_MAX:
-        raise ValueError(f"Gray images exist for k in 1..{K_MAX}, got --k {args.k}")
 
 
 def _emit_rows(rows: list[dict], fmt: str, text_of) -> None:
@@ -162,7 +156,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gray(args: argparse.Namespace) -> int:
-    _require_gray_k(args)
+    _require(args, "k")
     gray = GrayMap(args.k)
     rows = []
     for token in args.args:
@@ -225,14 +219,12 @@ def _image_text(rec: dict) -> str:
 
 
 def _cmd_image(args: argparse.Namespace) -> int:
-    _require_gray_k(args)
     rows = [code_record(code, args.budget, args.notation) for code in _codes_from_args(args)]
     _emit_rows(rows, args.fmt, _image_text)
     return 0
 
 
 def _cmd_wd(args: argparse.Namespace) -> int:
-    _require_gray_k(args)
     rows = []
     for code in _codes_from_args(args):
         img = binary_image(code)

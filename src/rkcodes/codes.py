@@ -429,27 +429,14 @@ def _map_coordinates(k: int, n: int, basis: Sequence[int], character: bool) -> l
     ]
 
 
-def binary_image_of_span(span: ModuleSpan, gray: GrayMap | None = None) -> BinaryCode:
-    """Binary Gray image of a span.
+def binary_image_of_span(span: ModuleSpan) -> BinaryCode:
+    """Binary Gray image of a span, mapped through the byte table of its k.
 
-    Every GrayMap(k) with k <= K_MAX is the same map, so those spans go
-    through one byte table per k and gray is not read; wider rings map one
-    coordinate at a time through gray, a GrayMap built with allow_above_k_max.
+    Gray images exist for k <= K_MAX only; a wider span raises GrayMap's
+    ValueError.
     """
     k, n = span.k, span.n
-    if k <= K_MAX:
-        return BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, span.basis, False))
-    gray = gray or GrayMap(k)
-    w = 1 << k
-    mask = (1 << w) - 1
-    places = [(i * w, i * gray.image_len) for i in range(n)]
-    rows = []
-    for flat in span.basis:
-        img = 0
-        for src, dst in places:
-            img |= gray.word_image(flat >> src & mask) << dst
-        rows.append(img)
-    return BinaryCode.from_rows(n * gray.image_len, rows)
+    return BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, span.basis, False))
 
 
 def binary_image(code: QTCode) -> BinaryCode:

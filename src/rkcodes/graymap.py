@@ -13,7 +13,7 @@ The k = 1 and k = 2 tables are pinned to the published displays
     psi_2(1) = 10101010   psi_2(u) = 11110000
     psi_2(v) = 11001100   psi_2(uv) = 11111111
 
-(strings are coordinate 0 first); for k >= 3 the monomial with subset
+(strings are coordinate 0 first); for k = 3 the monomial with subset
 index a maps to the evaluation vector "bit a of the coordinate index".
 """
 
@@ -61,18 +61,12 @@ def _bit_slice_rows(k: int) -> tuple[int, ...]:
 class GrayMap:
     """Immutable per-k table mapping R_k vectors to binary words and back."""
 
-    def __init__(self, k: int, *, allow_above_k_max: bool = False):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k > K_MAX and not allow_above_k_max:
-            raise ValueError(
-                f"Gray images for k={k} exceed K_MAX={K_MAX}; "
-                "pass allow_above_k_max=True to force"
-            )
+    def __init__(self, k: int):
+        if not 1 <= k <= K_MAX:
+            raise ValueError(f"Gray images exist for k in 1..{K_MAX}, got k={k}")
         self.k = k
         self.image_len = unit_count(k)
         self.basis_rows = _PINNED_ROWS.get(k) or _bit_slice_rows(k)
-        self._element_cache: dict[int, int] = {}
         if gf2_rank(self.basis_rows) < len(self.basis_rows):
             raise AssertionError("basis table rows are not independent")
         # Decoder: basis row idx tagged with bit image_len + idx, so reducing
@@ -87,17 +81,13 @@ class GrayMap:
         return self.word_image(e.coeffs)
 
     def word_image(self, coeffs: int) -> int:
-        """Image of the element with coefficient word coeffs, cached per word met."""
-        cached = self._element_cache.get(coeffs)
-        if cached is not None:
-            return cached
+        """Image of the element with coefficient word coeffs: the XOR of its monomials' rows."""
         img = 0
         c = coeffs
         while c:
             bit = c & -c
             c ^= bit
             img ^= self.basis_rows[bit.bit_length() - 1]
-        self._element_cache[coeffs] = img
         return img
 
     def image(self, vec: Sequence[RingElement]) -> int:

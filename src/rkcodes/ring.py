@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
-K_MAX = 3  # largest k with a character table and, without an override, Gray images
+K_MAX = 3  # largest k with a character table and a Gray image
 _K_CAP = 6  # sanity bound for ring arithmetic (coefficient word of 2^k bits)
 
 NOTATIONS = ("r1", "hex", "generic")
@@ -234,20 +234,12 @@ def parse_element(text: str, k: int, notation: str | None = None) -> RingElement
         for token in t.split("+"):
             token = token.strip()
             if token == "1":
-                mask = 0
+                idxs = []
             else:
                 idxs = _MONOMIAL_RE.findall(token)
                 if not idxs or "".join(f"u{i}" for i in idxs) != token:
                     raise ValueError(f"bad monomial {token!r}")
-                mask = 0
-                for i in map(int, idxs):
-                    if not 1 <= i <= k:
-                        raise ValueError(f"generator u{i} does not exist in R_{k}")
-                    bit = 1 << (i - 1)
-                    if mask & bit:
-                        raise ValueError(f"repeated generator in {token!r}")
-                    mask |= bit
-            word ^= 1 << mask  # F2 sum of monomials
+            word ^= monomial(k, map(int, idxs)).coeffs  # F2 sum of monomials
         return RingElement(k, word)
     raise ValueError(f"unknown notation {notation!r}")
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkcodes.codes import ModuleSpan, binary_image_of_span, flatten_vec
+from rkcodes.codes import ModuleSpan, QTCode, binary_image, binary_image_of_span, flatten_vec
 from rkcodes.gf2 import bits_to_str, rotate_bits
 from rkcodes.graymap import GrayMap, NotInImageError, apply_permutation
 from rkcodes.ring import (
+    K_MAX,
     RingElement,
     elements,
     hom_weight_vec,
@@ -157,12 +158,14 @@ def test_unit_mul_permutation_rejects_bad_inputs():
         GrayMap(3).unit_mul_permutation(one(3))  # search space too large
 
 
-def test_k_max_enforced():
-    with pytest.raises(ValueError):
-        GrayMap(4)
-    g4 = GrayMap(4, allow_above_k_max=True)
-    assert g4.image_len == 1 << 15
-    assert len(g4.basis_rows) == 16
+@pytest.mark.parametrize("k", [0, K_MAX + 1])
+def test_k_max_enforced(k):
+    message = rf"^Gray images exist for k in 1\.\.3, got k={k}$"
+    with pytest.raises(ValueError, match=message):
+        GrayMap(k)
+    if k > K_MAX:  # a code over R_4 builds, but has no Gray image
+        with pytest.raises(ValueError, match=message):
+            binary_image(QTCode.from_strings(k, ["1+u1|u2u3"], notation="generic"))
 
 
 def test_shift_commutation_with_image():

@@ -1,6 +1,7 @@
 """Every name a module under src/rkcodes/ imports is used in that module,
-every module-level _private function or class is used in the package, and
-every import names rkcodes or a module of the standard library.
+every module-level _private function or class is used in the package,
+every import names rkcodes or a module of the standard library, and no
+error message the package raises names a Python identifier.
 
 Deleting a function often leaves its imports or its private helpers
 behind; these guards find them with the standard library's ast module
@@ -10,11 +11,16 @@ A private definition counts as used when its name appears as a Name or an
 attribute outside its own definition, in any module of the package.  The
 package has no dependencies: numpy, hypothesis and pytest are installed for
 the tests only, so a kernel that imports one would break a plain install.
+Error messages reach CLI users as "error: ..." lines, so the literal text
+of a raise X(...) message may not name a snake_case or CONSTANT_CASE
+identifier (any word with an underscore); ring names such as R_1 or R_{k}
+are the paper's notation and stay allowed.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -129,3 +135,47 @@ def test_guard_finds_unused_private_defs():
 def test_no_unused_private_defs():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unused_private_defs(sources) == []
+
+
+def _literal_text(node: ast.expr) -> str:
+    """The literal characters of a message argument; each f-string field reads as a space."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_literal_text(part) if isinstance(part, ast.Constant) else " "
+                       for part in node.values)
+    return ""
+
+
+def identifiers_in_raise_messages(source: str) -> list[str]:
+    """'line:word' of every word with an underscore, other than a ring name R_k, in a raise message."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            for arg in node.exc.args:
+                found += [
+                    f"{node.lineno}:{word}"
+                    for word in re.findall(r"\w+", _literal_text(arg))
+                    if "_" in word and not re.fullmatch(r"R_\d*", word)
+                ]
+    return found
+
+
+def test_guard_finds_identifiers_in_raise_messages():
+    source = (
+        "def f(k, e):\n"
+        "    raise ValueError(f'element of R_{e.k} fed to a k={k} map, not R_2')\n"
+        "    raise ValueError('pass allow_above_k_max=True to force')\n"
+        "    raise ValueError(f'exceeds K_MAX={k}', f'see {e._cache} and _cache')\n"
+        "    raise NotInImageError\n"
+        "    raise ValueError(message_of(e))\n"
+        "    log('a_logged_name')\n"
+    )
+    assert identifiers_in_raise_messages(source) == [
+        "3:allow_above_k_max", "4:K_MAX", "4:_cache",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_raise_messages_name_no_identifiers(path):
+    assert identifiers_in_raise_messages(path.read_text()) == []

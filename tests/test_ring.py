@@ -303,3 +303,5 @@ def test_parse_errors():
         parse_element("u4", 2, "generic")  # generator out of range
     with pytest.raises(ValueError):
         parse_element("u1u1", 2, "generic")  # repeated generator
+    with pytest.raises(ValueError):
+        parse_element("u3", 2, "generic")  # generator out of range
