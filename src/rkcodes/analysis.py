@@ -35,9 +35,10 @@ from rkcodes.codes import (
     unflatten_vec,
 )
 from rkcodes.gf2 import F2Span
+from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import element_separator
 from rkcodes.ring import (
-    K_MAX, RingElement, elements, format_element, gamma, one, parse_element, unit_count, zero
+    RingElement, elements, format_element, gamma, one, parse_element, unit_count, zero
 )
 
 
@@ -249,8 +250,7 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown search mode {self.mode!r}")
-        if not 1 <= self.k <= K_MAX:
-            raise ValueError(f"search needs Gray images, which exist for k in 1..{K_MAX}")
+        GrayMap(self.k)  # search needs Gray images; GrayMap states their k rule
         if not self.m_values:
             raise ValueError("need at least one coindex value")
         if self.ell < 1 or min(self.m_values) < 1:

@@ -34,49 +34,50 @@ from rkcodes.graymap import GrayMap
 from rkcodes.ring import format_element, parse_element
 
 
-def _parent_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--k", type=int, help="ring parameter k")
-    p.add_argument("--lambda", dest="lam", default="1", help="twist unit, in the generator notation")
-    p.add_argument("--ell", type=int, help="quasitwist index")
-    p.add_argument("--m", type=int, help="coindex (block length)")
-    p.add_argument("--notation", choices=("r1", "hex", "generic"), help="element notation (default per k)")
-    p.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET_LOG2, help="max log2 codewords to enumerate")
-    p.add_argument("--jobs", type=int, default=1)
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parent = _parent_parser()
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
+    ring = argparse.ArgumentParser(add_help=False, parents=[fmt])
+    ring.add_argument("--k", type=int, help="ring parameter k")
+    ring.add_argument("--notation", choices=("r1", "hex", "generic"), help="element notation (default per k)")
+    code = argparse.ArgumentParser(add_help=False, parents=[ring])
+    code.add_argument("--lambda", dest="lam", default="1", help="twist unit, in the generator notation")
+    code.add_argument("--ell", type=int, help="quasitwist index")
+    code.add_argument("--m", type=int, help="coindex (block length)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET_LOG2, help="max log2 codewords to enumerate"
+    )
+
     parser = argparse.ArgumentParser(prog="rk-codes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", parents=[parent], help="element arithmetic, character, weight")
+    p_eval = sub.add_parser("eval", parents=[ring], help="element arithmetic, character, weight")
     p_eval.add_argument("elements", nargs="+")
     p_eval.add_argument("--op", choices=("none", "add", "mul"), default="none")
 
-    p_gray = sub.add_parser("gray", parents=[parent], help="Gray images (or preimages with --invert)")
+    p_gray = sub.add_parser("gray", parents=[ring], help="Gray images (or preimages with --invert)")
     p_gray.add_argument("args", nargs="+")
     p_gray.add_argument("--invert", action="store_true")
 
-    for name, help_text in (
-        ("build", "construct a QT code and report its module structure"),
-        ("image", "binary image parameters of a QT code"),
-        ("wd", "weight enumerator of the binary image"),
-        ("bounds", "residue-distance bounds on the minimum homogeneous distance"),
+    for name, parents, help_text in (
+        ("build", [code], "construct a QT code and report its module structure"),
+        ("image", [code, budget], "binary image parameters of a QT code"),
+        ("wd", [code, budget], "weight enumerator of the binary image"),
+        ("bounds", [code, budget], "residue-distance bounds on the minimum homogeneous distance"),
     ):
-        p_cmd = sub.add_parser(name, parents=[parent], help=help_text)
+        p_cmd = sub.add_parser(name, parents=parents, help=help_text)
         p_cmd.add_argument(
             "--gen", action="append", required=True,
             help="generator tuple like '0u|0u|uu'; '-' reads one code per stdin line",
         )
 
-    p_vt = sub.add_parser("verify-tables", parents=[parent], help="re-verify the shipped table fixtures")
+    p_vt = sub.add_parser("verify-tables", parents=[fmt, budget], help="re-verify the shipped table fixtures")
     p_vt.add_argument("--tables", default="1,2,3", help="comma-separated table ids")
 
-    p_search = sub.add_parser("search", parents=[parent], help="search generator tuples for good images")
+    p_search = sub.add_parser("search", parents=[code, budget], help="search generator tuples for good images")
+    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--jobs", type=int, default=1)
     p_search.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p_search.add_argument("--samples", type=int, default=1000)
 
@@ -112,19 +113,14 @@ def _csv_cell(value):
 
 def _codes_from_args(args: argparse.Namespace) -> list[QTCode]:
     _require(args, "k")
-    gens = list(args.gen)
-    if gens == ["-"]:
-        lines = [line.strip() for line in sys.stdin if line.strip()]
-        if not lines:
+    batches = [args.gen]
+    if args.gen == ["-"]:
+        batches = [[line.strip()] for line in sys.stdin if line.strip()]
+        if not batches:
             raise ValueError("no generator lines on stdin")
-        return [
-            QTCode.from_strings(args.k, [line], lam=args.lam, ell=args.ell,
-                                m=args.m, notation=args.notation)
-            for line in lines
-        ]
     return [
-        QTCode.from_strings(args.k, gens, lam=args.lam, ell=args.ell,
-                            m=args.m, notation=args.notation)
+        QTCode.from_strings(args.k, gens, lam=args.lam, ell=args.ell, m=args.m, notation=args.notation)
+        for gens in batches
     ]
 
 
@@ -219,12 +215,16 @@ def _image_text(rec: dict) -> str:
 
 
 def _cmd_image(args: argparse.Namespace) -> int:
+    _require(args, "k")
+    GrayMap(args.k)  # report the Gray k range, not the ring's, for any k out of it
     rows = [code_record(code, args.budget, args.notation) for code in _codes_from_args(args)]
     _emit_rows(rows, args.fmt, _image_text)
     return 0
 
 
 def _cmd_wd(args: argparse.Namespace) -> int:
+    _require(args, "k")
+    GrayMap(args.k)  # report the Gray k range, not the ring's, for any k out of it
     rows = []
     for code in _codes_from_args(args):
         img = binary_image(code)
@@ -252,10 +252,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         rows,
         args.fmt,
         lambda r: (
-            f"residue_d={r['residue_distance']} d_hom={r['hom_distance']} "
-            f"bounds={r['lower_bound']}..{r['upper_bound']} "
-            f"generator_bound={r['generator_bound']} ok={r['ok']}"
-        ),
+            "residue_d={residue_distance} d_hom={hom_distance} bounds={lower_bound}..{upper_bound} "
+            "generator_bound={generator_bound} ok={ok}"
+        ).format_map({key: "-" if value is None else value for key, value in r.items()}),
     )
     return 0 if ok else 1
 
@@ -314,8 +313,6 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.budget < 0:
-            raise ValueError(f"--budget must be at least 0, got {args.budget}")
         return _COMMANDS[args.command](args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

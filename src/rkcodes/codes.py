@@ -79,7 +79,10 @@ class BudgetError(RuntimeError):
 
 
 def _check_budget(rank: int, budget: int) -> None:
+    """Every enumeration passes here; a negative budget is a usage error."""
     if rank > budget:
+        if budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {budget}")
         raise BudgetError(f"span has 2^{rank} words, over the 2^{budget} budget")
 
 

@@ -19,7 +19,6 @@ index a maps to the evaluation vector "bit a of the coordinate index".
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 from rkcodes.gf2 import F2Span, bits_to_str, gf2_rank
@@ -38,7 +37,7 @@ class NotInImageError(ValueError):
 
 
 class PermutationNotFoundError(RuntimeError):
-    """No affine coordinate permutation realizes multiplication by the unit.
+    """No coordinate permutation realizes multiplication by the unit.
 
     Reaching this would contradict the permutation-equivalence of psi(a)
     and psi(lambda * a); it indicates a corrupted basis table.
@@ -120,46 +119,31 @@ class GrayMap:
         """Coordinate permutation P with psi(lam*a) = P applied to psi(a) for all a.
 
         P is returned as a tuple: new coordinate P[c] gets old coordinate c.
-        Searches affine maps on the coordinate index (the RM(1, m)
-        automorphisms) and verifies the candidate over the whole ring before
-        returning, so a successful return is a proof for this table.
+        Column c of the basis images, bit c of each psi(u_A), is a 2^k-bit
+        word, and the columns of an RM(1, m) generator matrix are distinct,
+        so P[c] is the one column of the images psi(lam*u_A) equal to it.
+        The result is verified over the whole ring before returning, so a
+        successful return is a proof for this table.
         """
         if lam.k != self.k:
             raise ValueError("unit from the wrong ring")
         if not lam.is_unit:
             raise ValueError("lambda must be a unit")
-        if self.k > 2:
-            raise ValueError("affine permutation search is only supported for k <= 2")
-        m = (1 << self.k) - 1
-        pairs = [
-            (self.element_image(e), self.element_image(lam * e))
-            for e in (RingElement(self.k, c) for c in range(1 << (1 << self.k)))
-        ]
+        moved = [self.word_image((lam * RingElement(self.k, 1 << a)).coeffs)
+                 for a in range(len(self.basis_rows))]
+        where = {_column(moved, c): c for c in range(self.image_len)}
+        perm = tuple(where.get(_column(self.basis_rows, c)) for c in range(self.image_len))
+        ring = (RingElement(self.k, c) for c in range(1 << len(self.basis_rows)))
+        is_permutation = set(perm) == set(range(self.image_len))
+        if not is_permutation or any(apply_permutation(perm, self.element_image(e), self.image_len)
+                                     != self.element_image(lam * e) for e in ring):
+            raise PermutationNotFoundError(f"no coordinate permutation realizes multiplication by {lam}")
+        return perm
 
-        def verified(perm: tuple[int, ...]) -> bool:
-            return all(apply_permutation(perm, src, self.image_len) == dst
-                       for src, dst in pairs)
 
-        identity = tuple(range(self.image_len))
-        if verified(identity):
-            return identity
-        for cols in product(range(1, 1 << m), repeat=m):
-            if F2Span(cols).rank < m:
-                continue
-            for t in range(1 << m):
-                perm = []
-                for p in range(self.image_len):
-                    q = t
-                    for j in range(m):
-                        if (p >> j) & 1:
-                            q ^= cols[j]
-                    perm.append(q)
-                cand = tuple(perm)
-                if verified(cand):
-                    return cand
-        raise PermutationNotFoundError(
-            f"no affine permutation realizes multiplication by {lam}"
-        )
+def _column(rows: Sequence[int], c: int) -> int:
+    """Bit a of the result is bit c of rows[a]."""
+    return sum(((row >> c) & 1) << a for a, row in enumerate(rows))
 
 
 def apply_permutation(perm: Sequence[int], bits: int, length: int) -> int:

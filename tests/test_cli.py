@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from rkcodes.cli import main
+from rkcodes.cli import build_parser, main
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -84,6 +85,16 @@ def test_bounds(capsys):
     assert "d_hom=32" in out and "ok=True" in out
 
 
+def test_bounds_text_prints_a_dash_for_a_vacuous_bound(capsys):
+    # the residue code of (u) over R_1 is zero, so there is no residue distance
+    rc, out = run(capsys, "bounds", "--k", "1", "--gen", "u")
+    assert rc == 0
+    assert out == "residue_d=- d_hom=2 bounds=-..- generator_bound=- ok=True\n"
+    rc, out = run(capsys, "bounds", "--k", "1", "--gen", "u", "--format", "json")
+    rec = json.loads(out)
+    assert rec["residue_distance"] is None and rec["lower_bound"] is None
+
+
 def test_stdin_batch(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("11\n088\n"))
     rc, out = run(capsys, "image", "--k", "2", "--gen", "-")
@@ -148,6 +159,8 @@ EXIT_CASES = [  # (argv, exit code): work that is empty, malformed or all over b
     (("search", "--k", "1", "--lambda", "u", "--ell", "1", "--m", "2", "--budget", "0"), 2),
     (("search", "--k", "1", "--ell", "1", "--m", "1", "--mode", "random", "--samples", "1",
       "--seed", "2"), 2),  # the only sample is the zero tuple
+    (("image", "--k", "7", "--gen", "1"), 2),
+    (("search", "--k", "5", "--ell", "1", "--m", "2"), 2),
 ]
 
 
@@ -163,6 +176,60 @@ def test_empty_or_malformed_work_is_a_usage_error(capsys, argv, code):
     assert captured.err.count("\n") == 1 and len(captured.err) <= 100
     for internal in ("range()", "int()", "Traceback", "allow_above_k_max"):
         assert internal not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("image", "--k", "7", "--gen", "1"),
+    ("wd", "--k", "0", "--gen", "1"),
+    ("search", "--k", "5", "--ell", "1", "--m", "2"),
+])
+def test_gray_commands_report_the_gray_k_range(capsys, argv):
+    assert main(list(argv)) == 2
+    assert capsys.readouterr().err == f"error: Gray images exist for k in 1..3, got k={argv[2]}\n"
+
+
+OPTIONS = {  # what each command's handler reads; any other option is refused
+    "eval": {"k", "notation", "format", "op", "elements"},
+    "gray": {"k", "notation", "format", "invert", "args"},
+    "build": {"k", "lambda", "ell", "m", "notation", "format", "gen"},
+    "image": {"k", "lambda", "ell", "m", "notation", "format", "gen", "budget"},
+    "wd": {"k", "lambda", "ell", "m", "notation", "format", "gen", "budget"},
+    "bounds": {"k", "lambda", "ell", "m", "notation", "format", "gen", "budget"},
+    "verify-tables": {"format", "budget", "tables"},
+    "search": {"k", "lambda", "ell", "m", "notation", "format", "budget",
+               "seed", "jobs", "mode", "samples"},
+}
+
+
+def test_each_command_declares_only_what_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {
+            a.option_strings[-1].lstrip("-") if a.option_strings else a.dest
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert declared == OPTIONS
+    assert sum(map(len, declared.values())) == 55
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (("eval", "--k", "1", "u", "--jobs", "2"), "--jobs"),
+    (("gray", "--k", "1", "--seed", "1", "u"), "--seed"),
+    (("build", "--k", "1", "--gen", "u", "--budget", "3"), "--budget"),
+    (("image", "--k", "1", "--gen", "u", "--seed", "1"), "--seed"),
+    (("verify-tables", "--k", "2"), "--k"),
+    (("verify-tables", "--notation", "generic"), "--notation"),
+])
+def test_commands_refuse_options_they_do_not_read(capsys, argv, refused):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"unrecognized arguments: {refused}" in captured.err
 
 
 @pytest.mark.parametrize("command", ["image", "wd", "bounds", "build"])

@@ -133,6 +133,15 @@ def test_budget_errors():
         img.min_distance(budget=3)
 
 
+def test_negative_budget_is_a_value_error():
+    code = QTCode.from_strings(2, ["11"])
+    message = r"^--budget must be at least 0, got -1$"
+    with pytest.raises(ValueError, match=message):
+        binary_image(code).min_distance(budget=-1)
+    with pytest.raises(ValueError, match=message):
+        hom_weight_enumerator(code, budget=-1)
+
+
 def test_weight_enumerators():
     code = QTCode.from_strings(1, ["0u0u|0u0u|uuuu"], lam="3")
     img = binary_image(code)

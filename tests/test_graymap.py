@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rkcodes.codes import ModuleSpan, QTCode, binary_image, binary_image_of_span, flatten_vec
 from rkcodes.gf2 import bits_to_str, rotate_bits
-from rkcodes.graymap import GrayMap, NotInImageError, apply_permutation
+from rkcodes.graymap import GrayMap, NotInImageError, PermutationNotFoundError, apply_permutation
 from rkcodes.ring import (
     K_MAX,
     RingElement,
@@ -150,12 +150,26 @@ def test_unit_mul_permutation_all_units_k2():
                     == g.element_image(lam * a))
 
 
+def test_unit_mul_permutation_all_units_k3():
+    # psi and the permutation are both F2-linear, so agreeing on the basis
+    # monomials is agreement on all of R_3.
+    g = GrayMap(3)
+    basis = [RingElement(3, 1 << a) for a in range(8)]
+    for lam in units(3):
+        perm = g.unit_mul_permutation(lam)
+        assert sorted(perm) == list(range(128))
+        for a in basis:
+            assert (apply_permutation(perm, g.element_image(a), 128)
+                    == g.element_image(lam * a))
+
+
 def test_unit_mul_permutation_rejects_bad_inputs():
     g = GrayMap(2)
     with pytest.raises(ValueError):
         g.unit_mul_permutation(parse_element("2", 2))  # non-unit
-    with pytest.raises(ValueError):
-        GrayMap(3).unit_mul_permutation(one(3))  # search space too large
+    g.basis_rows = (0x01, 0x02, 0x04, 0x08)  # independent, but columns 4..7 coincide
+    with pytest.raises(PermutationNotFoundError):
+        g.unit_mul_permutation(one(2))
 
 
 @pytest.mark.parametrize("k", [0, K_MAX + 1])
