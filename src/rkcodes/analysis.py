@@ -16,7 +16,6 @@ from typing import Sequence
 
 from rkcodes.codes import (
     DEFAULT_BUDGET_LOG2,
-    BinaryCode,
     BudgetError,
     ModuleSpan,
     QTCode,
@@ -34,7 +33,7 @@ from rkcodes.codes import (
     residue_split,
     unflatten_vec,
 )
-from rkcodes.gf2 import F2Span
+from rkcodes.gf2 import F2Span, min_weight
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import element_separator
 from rkcodes.ring import (
@@ -171,10 +170,9 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     k, n = span.k, span.n
     g = gamma(k)
     residues, lifts, kernel = residue_split(k, n, span.basis)  # a code span is a module
-    res = BinaryCode.from_rows(n, residues)
     d_kernel, d_nonkernel = hom_minima(k, n, lifts, kernel)
     d_hom = min((d for d in (d_kernel, d_nonkernel) if d is not None), default=None)
-    d_res = res.min_distance(budget) if res.rank else None
+    d_res = min_weight(residues) if residues else None  # independent rows, rank <= span.rank
     lower = g * d_res if d_res is not None else None
     upper = 2 * g * d_res if d_res is not None else None
     lemma_lower_holds = upper_ok = sound_lower_ok = None
@@ -417,7 +415,7 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
 
     h = config_hash(config)
     records = []
-    for (length, dim), (_, gen_str) in best.items():
+    for (length, _), (_, gen_str) in sorted(best.items()):
         m = length // (unit_count(config.k) * config.ell)
         code = QTCode.from_strings(
             config.k, [gen_str], lam=config.lam, ell=config.ell, m=m,
@@ -425,6 +423,5 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
         )
         rec = code_record(code, config.budget, config.notation)
         rec["provenance"] = {"seed": config.seed, "config_hash": h}
-        records.append(((length, dim, -rec["image"]["min_distance"], gen_str), rec))
-    records.sort(key=lambda pair: pair[0])
-    return [rec for _, rec in records]
+        records.append(rec)
+    return records

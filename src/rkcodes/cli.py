@@ -111,6 +111,14 @@ def _csv_cell(value):
     return value
 
 
+def _shown(value):
+    return "-" if value is None else value
+
+
+def _generators_text(generators: list[str]) -> str:
+    return ", ".join(f"({gen})" for gen in generators)
+
+
 def _codes_from_args(args: argparse.Namespace) -> list[QTCode]:
     _require(args, "k")
     batches = [args.gen]
@@ -196,7 +204,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         rows,
         args.fmt,
         lambda r: (
-            f"({'|'.join(r['generators'])}) over R_{r['k']}: lambda={r['lambda']} "
+            f"{_generators_text(r['generators'])} over R_{r['k']}: lambda={r['lambda']} "
             f"ell={r['ell']} m={r['m']} n={r['n']} |C|=2^{r['f2_dimension']} "
             f"qt_invariant={r['qt_invariant']}"
         ),
@@ -206,7 +214,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _image_text(rec: dict) -> str:
     img = rec["image"]
-    parts = [f"[{img['length']},{img['dimension']},{img['min_distance']}]"]
+    parts = [f"[{img['length']},{img['dimension']},{_shown(img['min_distance'])}]"]
     if rec["flags"]["self_orthogonal"]:
         parts.append("self-orthogonal")
     if rec["flags"]["qc_index"]:
@@ -254,7 +262,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         lambda r: (
             "residue_d={residue_distance} d_hom={hom_distance} bounds={lower_bound}..{upper_bound} "
             "generator_bound={generator_bound} ok={ok}"
-        ).format_map({key: "-" if value is None else value for key, value in r.items()}),
+        ).format_map({key: _shown(value) for key, value in r.items()}),
     )
     return 0 if ok else 1
 
@@ -294,7 +302,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         notation=args.notation,
     )
     records = search(config, jobs=args.jobs)
-    _emit_rows(records, args.fmt, _image_text)
+    _emit_rows(records, args.fmt, lambda r: f"{_generators_text(r['generators'])} {_image_text(r)}")
     return 0
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -45,7 +45,6 @@ from rkcodes.gf2 import (
     min_weight,
     popcounts,
     rotate_bits,
-    span_block,
     span_counts,
     span_iter,
     span_min_weight,
@@ -213,6 +212,8 @@ class QTCode:
     ) -> "QTCode":
         lam_elem = lam if isinstance(lam, RingElement) else parse_element(lam, k, notation)
         gens = tuple(parse_generator(g, k, notation) for g in generators)
+        if not gens:
+            raise ValueError("need at least one generator tuple")
         ell_seen = len(gens[0])
         m_seen = len(gens[0][0])
         if ell is not None and ell != ell_seen:
@@ -353,13 +354,9 @@ class BinaryCode:
     def rank(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def _weight_counts(self) -> dict[int, int]:
-        return span_counts(self.rows, popcounts)
-
     def weight_enumerator(self, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
         _check_budget(self.rank, budget)
-        return WeightEnumerator(self._weight_counts)
+        return WeightEnumerator(span_counts(self.rows, popcounts))
 
     def min_distance(self, budget: int = DEFAULT_BUDGET_LOG2) -> int:
         _check_budget(self.rank, budget)
@@ -523,23 +520,15 @@ def hom_minima(
     """Smallest homogeneous weight of a nonzero word inside the residue kernel, and outside it.
 
     lifts and kernel as residue_split gives them; None stands for no word.
-    One block is walked as [kernel, lifts] in span_iter order, so its first
-    2^len(kernel) words are the kernel.  A larger span takes the kernel's
-    minimum by information sets (k <= K_MAX) and the other from the paired
-    cosets.
+    At every rank the kernel's minimum comes from gf2.min_weight on its
+    character rows (a min-only walk past K_MAX), and the other from the
+    paired cosets.
     """
     image, weigh = _hom_view(k, n)
     lifts, kernel = image(lifts), image(kernel)
-    if len(lifts) + len(kernel) <= LOW_ROWS:
-        weights = list(weigh(iter(span_block(kernel + lifts))))
-        split = 1 << len(kernel)
-        return min(weights[1:split], default=None), min(weights[split:], default=None)
-    if not kernel:
-        d_kernel = None
-    elif k <= K_MAX:
-        d_kernel = min_weight(kernel)
-    else:
-        d_kernel = span_min_weight(kernel, weigh)
+    d_kernel = None
+    if kernel:
+        d_kernel = min_weight(kernel) if k <= K_MAX else span_min_weight(kernel, weigh)
     d_nonkernel = min(
         (span_min_weight(rows, weigh, start) for start, rows in _paired_cosets(lifts, kernel)),
         default=None,

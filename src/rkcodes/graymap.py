@@ -109,6 +109,8 @@ class GrayMap:
 
     def preimage(self, bits: int, n_blocks: int) -> RingVec:
         """Unique preimage of a valid n_blocks * image_len word."""
+        if bits >> n_blocks * self.image_len:
+            raise NotInImageError(f"word does not fit in {n_blocks * self.image_len} bits")
         mask = (1 << self.image_len) - 1
         return tuple(
             self.element_preimage((bits >> (i * self.image_len)) & mask)

@@ -95,6 +95,23 @@ def test_bounds_text_prints_a_dash_for_a_vacuous_bound(capsys):
     assert rec["residue_distance"] is None and rec["lower_bound"] is None
 
 
+def test_image_text_prints_a_dash_for_a_missing_distance(capsys):
+    # the zero code has no minimum distance; text shows '-' as bounds does, JSON null
+    rc, out = run(capsys, "image", "--k", "2", "--gen", "0")
+    assert rc == 0
+    assert out == "[8,0,-] self-orthogonal 8-QC\n"
+    rc, out = run(capsys, "image", "--k", "2", "--gen", "0", "--format", "json")
+    assert json.loads(out)["image"]["min_distance"] is None
+
+
+def test_build_text_prints_one_tuple_per_generator(capsys):
+    rc, out = run(capsys, "build", "--k", "1", "--gen", "0u|0u", "--gen", "11|11")
+    assert rc == 0
+    assert out.startswith("(0u|0u), (11|11) over R_1: ")
+    rc, out = run(capsys, "build", "--k", "1", "--lambda", "3", "--gen", "0u|0u|uu")
+    assert out.startswith("(0u|0u|uu) over R_1: ")
+
+
 def test_stdin_batch(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("11\n088\n"))
     rc, out = run(capsys, "image", "--k", "2", "--gen", "-")
@@ -128,6 +145,17 @@ def test_search_stream_and_jobs_determinism(capsys):
     assert out1 == out4
     first = json.loads(out1.splitlines()[0])
     assert first["provenance"]["seed"] == 7
+
+
+def test_search_text_lines_start_with_their_generator(capsys):
+    rc, out = run(capsys, "search", "--k", "1", "--lambda", "3", "--ell", "3", "--m", "2")
+    assert rc == 0
+    assert out.splitlines() == [
+        "(uu|uu|uu) [12,1,12] self-orthogonal",
+        "(0u|0u|uu) [12,2,8] self-orthogonal",
+        "(0u|11|11) [12,3,6] self-orthogonal",
+        "(01|11|1u) [12,4,6]",
+    ]
 
 
 def test_usage_errors(capsys):

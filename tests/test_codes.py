@@ -133,6 +133,11 @@ def test_budget_errors():
         img.min_distance(budget=3)
 
 
+def test_from_strings_needs_a_generator():
+    with pytest.raises(ValueError, match="^need at least one generator tuple$"):
+        QTCode.from_strings(2, [])
+
+
 def test_negative_budget_is_a_value_error():
     code = QTCode.from_strings(2, ["11"])
     message = r"^--budget must be at least 0, got -1$"

@@ -151,17 +151,35 @@ IDEAL_GENERATORS = {
 }
 
 
+# codes of rank at most LOW_ROWS inside the maximal ideal: no lifts
+SMALL_IDEAL_GENERATORS = {1: "u1,u1", 2: "u1,u2", 3: "u1u2,u3"}
+
+
+def walked_minima(k: int, n: int, basis, kernel) -> tuple[int | None, int | None]:
+    """Least nonzero weight inside the kernel and least weight outside it, every word weighed."""
+    inside = walked_hom_counts(k, n, kernel)
+    outside = walked_hom_counts(k, n, basis) - inside
+    return min((w for w in inside if w), default=None), min(outside, default=None)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_hom_minima_match_the_walk(k):
     codes = random_codes(20 + k, 15, ks=(k,), max_rank=18, min_rank=LOW_ROWS + 1)
     codes.append(QTCode.from_strings(k, [IDEAL_GENERATORS[k]], notation="generic"))
+    codes += random_codes(30 + k, 15, ks=(k,), max_rank=LOW_ROWS, min_rank=1)
+    small_ideal = QTCode.from_strings(k, [SMALL_IDEAL_GENERATORS[k]], notation="generic")
+    codes.append(small_ideal)
     for code in codes:
         span = code_span(code)
         _, lifts, kernel = residue_split(k, span.n, span.basis)
-        inside = walked_hom_counts(k, span.n, kernel)
-        outside = walked_hom_counts(k, span.n, span.basis) - inside
-        expected = min((w for w in inside if w), default=None), min(outside, default=None)
+        expected = walked_minima(k, span.n, span.basis, kernel)
         assert hom_minima(k, span.n, lifts, kernel) == expected, code
+        if code is small_ideal:
+            assert not lifts and 0 < span.rank <= LOW_ROWS
+            assert expected[1] is None
+    # empty kernels: the zero span, and the F2 span of one word with a unit coordinate
+    assert hom_minima(k, 2, [], []) == (None, None)
+    assert hom_minima(k, 2, [1], []) == walked_minima(k, 2, [1], []) == (None, gamma(k))
 
 
 def test_hom_minima_when_one_kernel_row_holds_the_minimum():

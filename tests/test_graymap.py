@@ -132,6 +132,15 @@ def test_preimage_rejects_blocks_outside_rm():
         g.element_preimage(1 << 9)  # too wide
 
 
+def test_preimage_rejects_bits_past_the_last_block():
+    g = GrayMap(1)
+    assert g.preimage(0b1111, 2) == (RingElement(1, 0b10), RingElement(1, 0b10))
+    with pytest.raises(NotInImageError):
+        g.preimage(0b1111, 1)  # the high block would be dropped
+    with pytest.raises(NotInImageError):
+        GrayMap(2).preimage(1 << 16, 2)
+
+
 def test_unit_mul_permutation_identity_and_swap():
     for k in (1, 2):
         g = GrayMap(k)
