@@ -16,10 +16,11 @@ map, through the generating character chi: w(x) = #{u in U : chi(u*x) = -1}
 (ring.character_table).  That count is the popcount of an F2-linear image
 of x, so the basis rows are mapped once, through a byte table of the same
 kind, and the span of the mapped rows is weighed by int.bit_count like a
-binary image.  1 + u_top is a unit, so y and y + u_top*y weigh the same:
-an R_k-module of more than one block weighs one word of each such pair
-(residue_split, hom_counts), and hom_minima walks those pairs for minima
-only.
+binary image.  The weight is invariant under the unit group U, and only
+the unit 1 fixes a word outside the residue kernel.  So an R_k-module is
+weighed as its residue kernel plus one word of each unit orbit outside
+it, each counted |U| times (residue_split, hom_counts), and hom_minima
+walks the same words for minima only.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -457,61 +458,75 @@ def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
 
 def residue_split(
     k: int, n: int, basis: Sequence[int]
-) -> tuple[list[int], list[int], list[int]] | None:
+) -> tuple[list[int], list[int], list[int]]:
     """(residues, lifts, kernel): the F2-span of flat words split at the residue map.
 
-    One RREF of residue(b) | b << n: the rows with a nonzero residue part
-    give the residue code's basis (residues) and one lift r_i of each row
-    (lifts); the other rows, shifted down, span the residue kernel.  The
-    product t_i = u_top * r_i depends on residue(r_i) alone and lies in the
-    kernel exactly when the span is closed under u_top, as every R_k-module
-    is.  Then the kernel basis returned starts with t_1..t_a, in lift order;
-    otherwise the result is None.
+    residues is the residue code's RREF basis, with pivots p_1 < ... < p_a.
+    One RREF of residue(b) | (b & ideal) << n | b << (n + n*2^k), where
+    ideal keeps the 2^k - 1 bits of the maximal ideal at each of p_1..p_a,
+    gives the rest: the rows with a nonzero residue part are the lifts r_i,
+    one per residue row, and the other rows, shifted down, span the residue
+    kernel.  In an R_k-module the kernel maps onto the ideal at p_1..p_a,
+    so r_i has the coordinate 1 at p_i and 0 at every other p_j, and the
+    kernel basis is made of a groups of 2^k - 1 rows, group i with one
+    ideal bit set at p_i and none at the other pivots, followed by rows
+    that are zero at every pivot coordinate.
     """
-    low = (1 << n) - 1
-    joint = F2Span(residue_word(b, k, n) | b << n for b in basis).basis()
-    lifted = [r for r in joint if r & low]
-    lifts = [r >> n for r in lifted]
-    top, mask = _monomial_masks(k, n)[-1]
-    tops = [(r & mask) << top for r in lifts]
-    kernel = F2Span(tops)
-    rest = [r >> n for r in joint if not r & low]
-    completion = [row for row in rest if kernel.add(row)]
-    if len(tops) + len(completion) != len(rest):
-        return None
-    return [r & low for r in lifted], lifts, tops + completion
+    words = [residue_word(b, k, n) for b in basis]
+    residues = list(F2Span(words).basis())
+    coordinate = (1 << (1 << k)) - 2  # the ideal bits of coordinate 0
+    ideal = sum(coordinate << ((r & -r).bit_length() - 1 << k) for r in residues)
+    low, high = (1 << n) - 1, n + (n << k)
+    joint = F2Span(r | (b & ideal) << n | b << high for r, b in zip(words, basis)).basis()
+    lifts = [r >> high for r in joint if r & low]
+    kernel = [r >> high for r in joint if not r & low]
+    return residues, lifts, kernel
 
 
-def _paired_cosets(lifts: list[int], kernel: list[int]) -> Iterator[tuple[int, list[int]]]:
-    """(r_i, basis) of each coset r_i + span(r_<i, t_j for j != i, the rest of the kernel).
+def _orbit_cosets(
+    k: int, lifts: list[int], kernel: list[int]
+) -> Iterator[tuple[int, list[int]]]:
+    """(r_i, basis of E_i) for each coset r_i + E_i, with E_i = span(r_<i, kernel outside group i).
 
-    lifts and kernel as residue_split gives them, in any rows -> rows view.
-    1 + u_top is a unit, so y and y + u_top*y = y + (sum of t_j over the
-    lifts r_j in y) have one homogeneous weight.  Outside the kernel the two
-    differ in t_i for the last lift r_i in y, so these cosets hold one word
-    of every such pair.
+    lifts and kernel as residue_split gives them for an R_k-module, in any
+    rows -> rows view.  A word y outside the kernel whose last lift is r_i
+    has a unit at p_i, so only the unit 1 of the unit group U fixes y, and
+    no unit changes that last lift.  So the orbit U*y meets the words
+    with coordinate 1 at p_i exactly once, and those words are r_i + E_i:
+    the cosets hold one word of every orbit outside the kernel.
     """
+    w = (1 << k) - 1
     for i, start in enumerate(lifts):
-        yield start, lifts[:i] + kernel[:i] + kernel[i + 1:]
+        yield start, lifts[:i] + kernel[: i * w] + kernel[(i + 1) * w:]
+
+
+def _is_module(k: int, n: int, basis: Sequence[int]) -> bool:
+    """True iff the F2-span of flat words is closed under u_1, ..., u_k: an R_k-module."""
+    span = F2Span(basis)
+    masks = _monomial_masks(k, n)
+    gens = [masks[1 << j] for j in range(k)]  # (A, M_A) of u_1, ..., u_k
+    return all((row & mask) << a in span for a, mask in gens for row in basis)
 
 
 def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
     """Homogeneous weight -> count over the F2-span of flat length-n words over R_k.
 
-    A span of more than one block that is closed under u_top is weighed as
-    its residue kernel plus twice the paired cosets: with b the kernel's
-    rank, 2^b + 2^(rank-1) - 2^(b-1) words instead of 2^rank.
+    The homogeneous weight is invariant under the unit group U, so an
+    R_k-module of more than one block is weighed as its residue kernel plus
+    |U| times the orbit cosets of residue_split: with b the kernel's rank,
+    2^b + (2^rank - 2^b)/|U| words instead of 2^rank.  Other spans are
+    walked word by word.
     """
     image, weigh = _hom_view(k, n)
-    split = residue_split(k, n, basis) if len(basis) > LOW_ROWS else None
-    if split is None:
+    if len(basis) <= LOW_ROWS or not _is_module(k, n, basis):
         return span_counts(image(basis), weigh)
-    _, lifts, kernel = split
+    _, lifts, kernel = residue_split(k, n, basis)
     lifts, kernel = image(lifts), image(kernel)
-    paired: Counter = Counter()
-    for start, rows in _paired_cosets(lifts, kernel):
-        paired.update(span_counts(rows, weigh, start))
-    return span_counts(kernel, weigh) + paired + paired
+    orbits: Counter = Counter()
+    for start, rows in _orbit_cosets(k, lifts, kernel):
+        orbits.update(span_counts(rows, weigh, start))
+    size = unit_count(k)
+    return span_counts(kernel, weigh) + Counter({w: c * size for w, c in orbits.items()})
 
 
 def hom_minima(
@@ -519,10 +534,10 @@ def hom_minima(
 ) -> tuple[int | None, int | None]:
     """Smallest homogeneous weight of a nonzero word inside the residue kernel, and outside it.
 
-    lifts and kernel as residue_split gives them; None stands for no word.
-    At every rank the kernel's minimum comes from gf2.min_weight on its
-    character rows (a min-only walk past K_MAX), and the other from the
-    paired cosets.
+    lifts and kernel as residue_split gives them for an R_k-module; None
+    stands for no word.  The kernel's minimum comes from gf2.min_weight on
+    its character rows (a min-only walk past K_MAX), and the other from a
+    min-only walk of the orbit cosets: one word of each unit orbit.
     """
     image, weigh = _hom_view(k, n)
     lifts, kernel = image(lifts), image(kernel)
@@ -530,7 +545,7 @@ def hom_minima(
     if kernel:
         d_kernel = min_weight(kernel) if k <= K_MAX else span_min_weight(kernel, weigh)
     d_nonkernel = min(
-        (span_min_weight(rows, weigh, start) for start, rows in _paired_cosets(lifts, kernel)),
+        (span_min_weight(rows, weigh, start) for start, rows in _orbit_cosets(k, lifts, kernel)),
         default=None,
     )
     return d_kernel, d_nonkernel

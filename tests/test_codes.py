@@ -196,6 +196,48 @@ def test_k2_images_are_self_orthogonal_with_weights_mod_4():
         assert all(w % 4 == 0 for w, _ in img.weight_enumerator().pairs())
 
 
+@pytest.mark.parametrize(
+    "k, params, self_orthogonal",
+    [(1, (2, 2, 1), False), (2, (8, 4, 4), True), (3, (128, 8, 64), True)],
+)
+def test_gray_images_of_the_ring(k, params, self_orthogonal):
+    # the code R_k of length 1: its image is spanned by the Gray images of the ring
+    img = binary_image_of_span(module_span([(one(k),)]))
+    assert (img.length, img.rank, img.min_distance()) == params
+    assert img.is_self_orthogonal() is self_orthogonal
+
+
+def random_module_rows(rng: random.Random, k: int, max_n: int) -> list[tuple[RingElement, ...]]:
+    n = rng.randint(1, max_n)
+    return [
+        tuple(RingElement(k, rng.randrange(1 << (1 << k))) for _ in range(n))
+        for _ in range(rng.randint(1, 2))
+    ]
+
+
+def test_k3_images_are_self_orthogonal():
+    # as at k = 2: each image lies in a direct sum of copies of the image of R_3
+    rng = random.Random(43)
+    for _ in range(25):
+        img = binary_image_of_span(module_span(random_module_rows(rng, 3, 2)))
+        assert img.is_self_orthogonal()
+
+
+def test_r1_self_orthogonality_is_that_of_the_image():
+    # Euclidean inner products over R_1 on the F2 basis, against the image's binary ones
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(60):
+        span = module_span(random_module_rows(rng, 1, 5))
+        rows = [unflatten_vec(flat, 1, span.n) for flat in span.basis]
+        ring_side = all(
+            sum((a * b for a, b in zip(x, y)), zero(1)) == zero(1) for x in rows for y in rows
+        )
+        assert binary_image_of_span(span).is_self_orthogonal() is ring_side
+        seen.add(ring_side)
+    assert seen == {True, False}
+
+
 def test_qc_index_check():
     cyclic = binary_image(QTCode.from_strings(2, ["088"]))
     assert cyclic.qc_index_check(8)

@@ -14,8 +14,11 @@ from rkcodes.analysis import bound_check
 from rkcodes.codes import (
     QTCode,
     WeightEnumerator,
+    _is_module,
     _map_coordinates,
+    _orbit_cosets,
     code_span,
+    flatten_vec,
     hom_counts,
     hom_minima,
     hom_weight_enumerator,
@@ -25,7 +28,16 @@ from rkcodes.codes import (
     unflatten_vec,
 )
 from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_iter
-from rkcodes.ring import K_MAX, RingElement, gamma, hom_weight_vec, units
+from rkcodes.ring import (
+    K_MAX,
+    RingElement,
+    gamma,
+    hom_weight_vec,
+    monomial,
+    top,
+    unit_count,
+    units,
+)
 
 hamming = partial(map, int.bit_count)
 
@@ -122,25 +134,58 @@ def test_paired_hom_counts_match_the_walk_on_module_spans(k):
     assert any(code.lam.coeffs != 1 for code in codes)
     for code in codes:
         span = code_span(code)
-        assert residue_split(span.k, span.n, span.basis) is not None  # paired
+        assert _is_module(span.k, span.n, span.basis)  # split by unit orbits
         assert hom_counts(k, span.n, span.basis) == walked_hom_counts(k, span.n, span.basis), code
 
 
 def test_paired_hom_counts_past_k_max():
     code = QTCode.from_strings(4, ["u1u2,u3u4+u1u2u3u4"], lam="1+u1", notation="generic")
     span = code_span(code)
-    assert span.rank > LOW_ROWS and residue_split(4, span.n, span.basis) is not None
+    assert span.rank > LOW_ROWS and _is_module(4, span.n, span.basis)
     assert hom_counts(4, span.n, span.basis) == walked_hom_counts(4, span.n, span.basis)
 
 
+def times(k: int, n: int, flat: int, e: RingElement) -> int:
+    """The flat word e * flat, one RingElement product per coordinate."""
+    return flatten_vec([x * e for x in unflatten_vec(flat, k, n)])
+
+
 def test_hom_counts_walks_spans_not_closed_under_u_top():
-    # lifts and the kernel without the u_top multiples of the lifts: no pairing
+    # lifts and the kernel without the u_top multiples of the lifts: not a module
     k, n = 2, 4
     span = code_span(QTCode.from_strings(k, ["2461"]))
     _, lifts, kernel = residue_split(k, n, span.basis)
-    basis = F2Span(lifts + kernel[len(lifts):]).basis()
-    assert len(basis) > LOW_ROWS and residue_split(k, n, basis) is None
+    tops = [times(k, n, r, top(k)) for r in lifts]
+    basis = F2Span(lifts + [row for row in kernel if row not in tops]).basis()
+    assert basis == (1, 2, 4, 16, 32, 64, 256, 512, 1024, 4096, 8192, 16384)
+    assert len(basis) > LOW_ROWS and not _is_module(k, n, basis)
     assert hom_counts(k, n, basis) == walked_hom_counts(k, n, basis)
+
+
+def orbit_split_counts(k: int, n: int, basis) -> Counter:
+    """Kernel counts plus |U| times the orbit cosets' counts, each coset word weighed alone."""
+    _, lifts, kernel = residue_split(k, n, basis)
+    counts = walked_hom_counts(k, n, kernel)
+    for start, rows in _orbit_cosets(k, lifts, kernel):
+        coset = Counter(hom_weight_vec(unflatten_vec(start ^ y, k, n)) for y in span_iter(rows))
+        counts.update({w: c * unit_count(k) for w, c in coset.items()})
+    return counts
+
+
+@pytest.mark.parametrize("k, n, words", [(2, 6, 8), (3, 3, 10)])
+def test_hom_counts_walks_spans_closed_under_u_top_alone(k, n, words):
+    # span(x, u_top*x) over random x: closed under u_top, as u_top^2 = 0, but not an R_k-module
+    rng = random.Random(k)
+    xs = [rng.getrandbits(n << k) for _ in range(words)]
+    basis = F2Span(xs + [times(k, n, x, top(k)) for x in xs]).basis()
+    span = F2Span(basis)
+    assert len(basis) > LOW_ROWS
+    assert all(times(k, n, row, top(k)) in span for row in basis)
+    gens = [monomial(k, [j]) for j in range(1, k + 1)]
+    assert not all(times(k, n, row, u) in span for u in gens for row in basis)
+    walked = Counter(hom_weight_vec(unflatten_vec(flat, k, n)) for flat in span_iter(basis))
+    assert hom_counts(k, n, basis) == walked
+    assert orbit_split_counts(k, n, basis) != walked  # what a u_top-only check would have let in
 
 
 # codes of rank 12 inside the maximal ideal: every word in the residue kernel
@@ -189,6 +234,63 @@ def test_hom_minima_when_one_kernel_row_holds_the_minimum():
     _, lifts, kernel = residue_split(1, 22, span.basis)
     assert span.rank > LOW_ROWS
     assert hom_minima(1, 22, lifts, kernel) == (4, 2)
+
+
+def random_module_spans(seed: int, count: int, k: int, min_rank: int, max_rank: int):
+    """Module spans over R_k of F2 rank in min_rank..max_rank, from 1 to n + 1 random rows.
+
+    Every other entry is a multiple of a random monomial, so ideal parts and
+    non-free modules come up often.
+    """
+    rng = random.Random(seed)
+    max_n = {1: 6, 2: 4, 3: 2, 4: 1}[k]
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, max_n)
+        rows = [
+            tuple(
+                RingElement(k, rng.getrandbits(1 << k))
+                * monomial(k, [j for j in range(1, k + 1) if rng.random() < 0.5 * (c % 2)])
+                for c in range(n)
+            )
+            for _ in range(rng.randint(1, n + 1))
+        ]
+        span = module_span(rows)
+        if min_rank <= span.rank <= max_rank:
+            out.append(span)
+    return out
+
+
+def assert_orbit_split_matches_the_walk(span) -> None:
+    k, n, basis = span.k, span.n, span.basis
+    residues, lifts, kernel = residue_split(k, n, basis)
+    walked = walked_hom_counts(k, n, basis)
+    assert orbit_split_counts(k, n, basis) == walked
+    assert hom_counts(k, n, basis) == walked
+    assert hom_minima(k, n, lifts, kernel) == walked_minima(k, n, basis, kernel)
+    # each coset starts at a word with coordinate 1 at its pivot p_i, and E_i is zero there
+    size, words = unit_count(k), 1 << len(kernel)
+    for residue, (start, rows) in zip(residues, _orbit_cosets(k, lifts, kernel)):
+        shift = (residue & -residue).bit_length() - 1 << k
+        coordinate = (1 << (1 << k)) - 1 << shift
+        assert start & coordinate == 1 << shift
+        assert not any(row & coordinate for row in rows)
+        assert F2Span(rows).rank == len(rows)
+        words += size << len(rows)
+    assert words == 1 << len(basis)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_orbit_split_matches_the_walk(k):
+    spans = random_module_spans(40 + k, 12, k, 1, LOW_ROWS)
+    spans += random_module_spans(50 + k, 6 if k < 4 else 2, k, LOW_ROWS + 1, 16)
+    assert any(span.rank > LOW_ROWS for span in spans)
+    if k <= K_MAX:
+        for gens in (IDEAL_GENERATORS, SMALL_IDEAL_GENERATORS):  # no lifts: kernel only
+            spans.append(code_span(QTCode.from_strings(k, [gens[k]], notation="generic")))
+    spans.append(module_span([(RingElement(k, 0),) * 3]))  # the empty kernel of the zero span
+    for span in spans:
+        assert_orbit_split_matches_the_walk(span)
 
 
 def oracle_bound_check(code: QTCode) -> dict:
