@@ -20,7 +20,10 @@ binary image.  The weight is invariant under the unit group U, and only
 the unit 1 fixes a word outside the residue kernel.  So an R_k-module is
 weighed as its residue kernel plus one word of each unit orbit outside
 it, each counted |U| times (residue_split, hom_counts), and hom_minima
-walks the same words for minima only.
+walks the same words for minima only.  Inside the kernel the units
+1 + u_j fix more words, so hom_counts weighs it one word per pair y,
+(1+u_j)*y of distinct words, counted twice, plus the words every u_j
+kills (kernel_pairs).
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -483,6 +486,17 @@ def residue_split(
     return residues, lifts, kernel
 
 
+def _cosets(
+    lifts: list[int], rows: list[int], group: int
+) -> Iterator[tuple[int, list[int]]]:
+    """(lifts[i], basis of E_i) for each i, with E_i = span(lifts[:i], rows outside group i).
+
+    Group i is rows[i*group : (i+1)*group].
+    """
+    for i, start in enumerate(lifts):
+        yield start, lifts[:i] + rows[: i * group] + rows[(i + 1) * group:]
+
+
 def _orbit_cosets(
     k: int, lifts: list[int], kernel: list[int]
 ) -> Iterator[tuple[int, list[int]]]:
@@ -495,9 +509,41 @@ def _orbit_cosets(
     with coordinate 1 at p_i exactly once, and those words are r_i + E_i:
     the cosets hold one word of every orbit outside the kernel.
     """
-    w = (1 << k) - 1
-    for i, start in enumerate(lifts):
-        yield start, lifts[:i] + kernel[: i * w] + kernel[(i + 1) * w:]
+    return _cosets(lifts, kernel, (1 << k) - 1)
+
+
+def kernel_pairs(
+    k: int, n: int, kernel: list[int]
+) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    """(fixed, levels): the residue kernel split into pairs y, (1+u_j)*y of equal weight.
+
+    (1+u_j)*y = y + u_j*y is a unit multiple of y, and it is y exactly when
+    u_j*y = 0.  With F_0 the kernel and F_j = {y in F_(j-1) : u_j*y = 0},
+    the words of F_(j-1) outside F_j fall into such pairs.  Level j is one
+    RREF of u_j*y | (y & q) << W | y << 2W over the rows y of F_(j-1), W the
+    width of a flat word and q the pivots q_1 < ... < q_s of u_j*F_(j-1).
+    Its rows with a nonzero first part are the lifts g_i, u_j*g_i with
+    pivot q_i, and each g_i is 0 at every q_l.  The other rows span F_j,
+    and row i of them is the one with bit q_i.  The two words of a pair
+    differ at q_i, for g_i the last lift they hold, so one word of every
+    pair lies in a coset g_i + E_i, E_i spanned by g_<i and the rows of
+    F_j but row i: levels[j-1] = (lifts, rows of F_j) gives them through
+    _cosets(lifts, rows, 1), and 2^f + 2 * sum |g_i + E_i| = 2^b, with b
+    and f the ranks of F_(j-1) and F_j.  The levels stop at F_k, or at an
+    F_j of one block; fixed is its basis.
+    """
+    masks = _monomial_masks(k, n)
+    width = n << k
+    low = (1 << width) - 1
+    rows, levels = kernel, []
+    for a, mask in (masks[1 << j] for j in range(k)):
+        if len(rows) <= LOW_ROWS:
+            break
+        q = sum(r & -r for r in F2Span((y & mask) << a for y in rows).basis())
+        joint = F2Span((y & mask) << a | (y & q) << width | y << 2 * width for y in rows).basis()
+        rows = [r >> 2 * width for r in joint if not r & low]
+        levels.append(([r >> 2 * width for r in joint if r & low], rows))
+    return rows, levels
 
 
 def _is_module(k: int, n: int, basis: Sequence[int]) -> bool:
@@ -513,20 +559,29 @@ def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
 
     The homogeneous weight is invariant under the unit group U, so an
     R_k-module of more than one block is weighed as its residue kernel plus
-    |U| times the orbit cosets of residue_split: with b the kernel's rank,
-    2^b + (2^rank - 2^b)/|U| words instead of 2^rank.  Other spans are
-    walked word by word.
+    |U| times the orbit cosets of residue_split, and the kernel as its
+    fixed part plus twice the pair cosets of kernel_pairs: with b the
+    kernel's rank and f that of its fixed part, (2^b + 2^f)/2 +
+    (2^rank - 2^b)/|U| words instead of 2^rank.  Other spans are walked
+    word by word.
     """
     image, weigh = _hom_view(k, n)
     if len(basis) <= LOW_ROWS or not _is_module(k, n, basis):
         return span_counts(image(basis), weigh)
     _, lifts, kernel = residue_split(k, n, basis)
+    fixed, levels = kernel_pairs(k, n, kernel)
     lifts, kernel = image(lifts), image(kernel)
     orbits: Counter = Counter()
     for start, rows in _orbit_cosets(k, lifts, kernel):
         orbits.update(span_counts(rows, weigh, start))
-    size = unit_count(k)
-    return span_counts(kernel, weigh) + Counter({w: c * size for w, c in orbits.items()})
+    pairs: Counter = Counter()
+    for level in levels:
+        for start, rows in _cosets(*map(image, level), 1):
+            pairs.update(span_counts(rows, weigh, start))
+    counts = span_counts(image(fixed), weigh)
+    counts.update({w: c * 2 for w, c in pairs.items()})
+    counts.update({w: c * unit_count(k) for w, c in orbits.items()})
+    return counts
 
 
 def hom_minima(
@@ -558,10 +613,30 @@ def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> We
     return WeightEnumerator(hom_counts(span.k, span.n, span.basis))
 
 
+@lru_cache(maxsize=None)
+def _residue_digits(k: int) -> tuple[bytes, int, int]:
+    """(table, per, stride): how a flat word over R_k reads as one numeral of its residues.
+
+    A byte holds per = 8 >> k coordinates for k <= 3, and one coordinate
+    fills stride bytes for k >= 3, with its residue in bit 0 of the lowest.
+    table is a bytes.translate table that sends byte b to the digit, in
+    base 2^per, whose bit j is the residue of the j-th coordinate in b.
+    """
+    per, width = max(8 >> k, 1), min(1 << k, 8)
+    value = [sum((b >> j * width & 1) << j for j in range(per)) for b in range(256)]
+    return bytes(b"0123456789abcdef"[v] for v in value), per, max(1 << k >> 3, 1)
+
+
 def residue_word(flat: int, k: int, n: int) -> int:
-    """Bit i = residue (coefficient of u_empty) of coordinate i of a flat word."""
-    n_bits = 1 << k
-    return sum(((flat >> (i * n_bits)) & 1) << i for i in range(n))
+    """Bit i = residue (coefficient of u_empty) of coordinate i of a flat word.
+
+    The big-endian bytes of the word, one per stride, go through the table
+    of _residue_digits to one numeral, highest coordinate first, that int()
+    reads back.
+    """
+    table, per, stride = _residue_digits(k)
+    data = flat.to_bytes(-(-n // per) * stride, "big")
+    return int(data[stride - 1 :: stride].translate(table), 1 << per)
 
 
 def residue_code(code: QTCode) -> BinaryCode:

@@ -159,26 +159,32 @@ def _systematic(basis: Sequence[int], columns: int) -> tuple[list[int], int] | N
     return list(rows.values()), sum(rows)
 
 
-def _grow(
-    rows: Sequence[int], level: list[list[int]], best: int, keep: bool
-) -> tuple[int, list[list[int]] | None]:
-    """Every subset in level with one more row: (min(best, their least popcount), grown level).
+class _SubsetXors:
+    """XORs of the subsets of rows, grouped by size; a size is made when first asked for.
 
-    level[i] holds the XORs of the subsets whose largest row index is i.
-    Row i goes onto every subset whose largest index is below i, which makes
-    each larger subset exactly once.  The grown level is kept only when
-    asked for (else None), so the last level is weighed without being stored.
+    The subsets of size s+1 are row i XOR those of size s whose largest row
+    index is below i, which makes each exactly once.  Only the newest size
+    is kept grouped by largest index.
     """
-    below: list[int] = []
-    grown = []
-    for row, group in zip(rows, level):
-        words = map(row.__xor__, below)
-        if keep:
-            words = list(words)
-            grown.append(words)
-        best = min(best, min(map(int.bit_count, words), default=best))
-        below += group
-    return best, grown if keep else None
+
+    def __init__(self, rows: Sequence[int]):
+        self._rows = rows
+        self._by_last = [[row] for row in rows]
+        self._sizes = [[0], list(rows)]
+
+    def __getitem__(self, size: int) -> list[int]:
+        while len(self._sizes) <= size:
+            below: list[int] = []
+            grown = []
+            for row, group in zip(self._rows, self._by_last):
+                grown.append([row ^ x for x in below])
+                below += group
+            self._by_last = grown
+            self._sizes.append(list(chain.from_iterable(grown)))
+        return self._sizes[size]
+
+
+LEVEL_COST = 256  # measured: a basis's pass over a level beyond its combinations, in walk words
 
 
 def info_set_min_weight(basis: Sequence[int]) -> int:
@@ -189,12 +195,19 @@ def info_set_min_weight(basis: Sequence[int]) -> int:
     greedily, each on the columns no earlier set holds, until the rows have
     rank below len(basis) on what is left (such a short basis is dropped).
     A word is a combination of some w_j rows of basis j and has w_j ones on
-    set j, so once every combination of at most w rows of every basis is
-    weighed, each word not yet seen weighs at least t*(w+1).  The search
-    stops when that reaches the smallest weight seen.  A combination costs
-    a few times what a word of the plain walk costs, so when the levels
-    still needed to reach the best weight so far hold, with those already
-    weighed, more than 2^(rank-2) words, the span is walked instead.
+    set j.  Level w of a basis is every combination of w of its rows; once
+    all bases have weighed level w - 1 and j of them level w, each word not
+    yet seen weighs at least j*(w+1) + (t-j)*w = t*w + j, and the search
+    stops when that reaches the smallest weight seen.
+
+    Level w is weighed without being stored: each basis is split into two
+    halves, and the XORs of each half's subsets, grouped by size (at most
+    2^ceil(rank/2) words), are XORed pairwise, a-subsets of one half
+    against (w-a)-subsets of the other.  A combination costs about what a
+    word of the plain walk costs, and each basis's pass over a level about
+    LEVEL_COST words more, so when the passes still needed to reach the
+    best weight so far would cost more than the 2^rank words of the span,
+    the span is walked instead.
     """
     rank = len(basis)
     if not rank:
@@ -206,17 +219,19 @@ def info_set_min_weight(basis: Sequence[int]) -> int:
         columns &= ~found[1]
     t = len(sets)
     best = min(map(int.bit_count, chain(basis, *sets)))  # level 1: each row alone
-    levels = [[[row] for row in rows] for rows in sets]
-    weighed = t * rank
+    passes = range(best - 2 * t)  # pass i weighs level 2 + i // t of basis i % t
+    if sum(comb(rank, 2 + i // t) + LEVEL_COST for i in passes) > 1 << rank:
+        return span_min_weight(basis)
+    half = (rank + 1) // 2
+    halves = [(_SubsetXors(rows[:half]), _SubsetXors(rows[half:])) for rows in sets]
     for w in range(2, rank + 1):
-        if t * w >= best:
-            return best
-        last = -(-best // t) - 1  # after level last, t*(last+1) >= best: the loop ends
-        if weighed + t * sum(comb(rank, v) for v in range(w, last + 1)) > (1 << rank) >> 2:
-            return span_min_weight(basis)
-        for j, rows in enumerate(sets):
-            best, levels[j] = _grow(rows, levels[j], best, w < last)
-        weighed += t * comb(rank, w)
+        for j, (low, high) in enumerate(halves):
+            if t * w + j >= best:
+                return best
+            for a in range(max(0, w - (rank - half)), min(half, w) + 1):
+                small, large = sorted((low[a], high[w - a]), key=len)
+                for x in small:
+                    best = min(best, min(map(int.bit_count, map(x.__xor__, large))))
     return best
 
 

@@ -10,10 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkcodes.analysis import bound_check
+from rkcodes import codes as codes_module
+from rkcodes.analysis import bound_check, build_row_code, load_table_rows
 from rkcodes.codes import (
     QTCode,
     WeightEnumerator,
+    _cosets,
     _is_module,
     _map_coordinates,
     _orbit_cosets,
@@ -22,6 +24,7 @@ from rkcodes.codes import (
     hom_counts,
     hom_minima,
     hom_weight_enumerator,
+    kernel_pairs,
     module_span,
     residue_code,
     residue_split,
@@ -291,6 +294,107 @@ def test_orbit_split_matches_the_walk(k):
     spans.append(module_span([(RingElement(k, 0),) * 3]))  # the empty kernel of the zero span
     for span in spans:
         assert_orbit_split_matches_the_walk(span)
+
+
+def ideal_spans(seed: int, count: int, k: int, min_rank: int, max_rank: int):
+    """Module spans over R_k inside the maximal ideal, so each is its own residue kernel.
+
+    Every entry is a random element times a random monomial other than 1.
+    """
+    rng = random.Random(seed)
+    lengths = {1: (11, 14), 2: (4, 6), 3: (2, 3), 4: (1, 1)}[k]
+    out = []
+    while len(out) < count:
+        n = rng.randint(*lengths)
+        rows = [
+            tuple(
+                RingElement(k, rng.getrandbits(1 << k))
+                * monomial(k, [j for j in range(1, k + 1) if rng.random() < 0.5] or [k])
+                for _ in range(n)
+            )
+            for _ in range(rng.randint(1, n + 1))
+        ]
+        span = module_span(rows)
+        if min_rank <= span.rank <= max_rank:
+            out.append(span)
+    return out
+
+
+def assert_kernel_pairs_match_the_walk(k: int, n: int, kernel) -> None:
+    """Each level of kernel_pairs against RingElement products and per-word weights.
+
+    At level j the cosets' words, their partners y + u_j*y and F_j must
+    split F_(j-1) exactly; then counts(F_(j-1)) = counts(F_j) + twice the
+    cosets' counts.
+    """
+    fixed, levels = kernel_pairs(k, n, kernel)
+    assert len(levels) <= k
+    weight = lambda flat: hom_weight_vec(unflatten_vec(flat, k, n))
+    counts = Counter(map(weight, span_iter(fixed)))
+    rows = kernel
+    for j, (lifts, inner) in enumerate(levels):
+        u = monomial(k, [j + 1])
+        assert not any(times(k, n, y, u) for y in inner)
+        image_rank = F2Span(times(k, n, y, u) for y in rows).rank
+        assert len(lifts) == image_rank and len(inner) == len(rows) - image_rank
+        cosets = list(_cosets(lifts, inner, 1))
+        assert 2 ** len(inner) + 2 * sum(2 ** len(e) for _, e in cosets) == 2 ** len(rows)
+        words = [start ^ y for start, e in cosets for y in span_iter(e)]
+        partners = {y ^ times(k, n, y, u) for y in words}
+        assert len(partners) == len(words) and partners.isdisjoint(words)
+        assert partners | set(words) | set(span_iter(inner)) == set(span_iter(rows))
+        counts.update({w: 2 * c for w, c in Counter(map(weight, words)).items()})
+        rows = inner
+    assert F2Span(rows).basis() == F2Span(fixed).basis()
+    assert counts == walked_hom_counts(k, n, kernel)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_kernel_pairs_match_the_walk_above_one_block(k):
+    spans = ideal_spans(60 + k, 3, k, LOW_ROWS + 1, 13)
+    for span in spans:
+        assert_kernel_pairs_match_the_walk(k, span.n, list(span.basis))
+        _, lifts, kernel = residue_split(k, span.n, span.basis)
+        assert not lifts and kernel_pairs(k, span.n, kernel)[1]  # split at least once
+        assert hom_counts(k, span.n, span.basis) == walked_hom_counts(k, span.n, span.basis)
+
+
+def test_kernel_pairs_on_benchmark_shaped_kernels():
+    # residue kernels of [80,16..18] images over R_2 (ell=2, m=5) have rank 12 to 15
+    for generator in ("a7728|92452", "010b8|4550c", "f7b77|e90d3"):
+        span = code_span(QTCode.from_strings(2, [generator]))
+        _, _, kernel = residue_split(2, span.n, span.basis)
+        assert len(kernel) > LOW_ROWS
+        assert hom_counts(2, span.n, kernel) == walked_hom_counts(2, span.n, kernel)
+        assert hom_counts(2, span.n, span.basis) == walked_hom_counts(2, span.n, span.basis)
+
+
+def test_kernel_pairs_level_is_empty_when_u_j_kills_the_kernel():
+    # u_1 * R_2: every word is killed by u_1, so level 1 has no lifts
+    rng = random.Random(5)
+    u1 = monomial(2, [1])
+    rows = [tuple(RingElement(2, rng.getrandbits(4)) * u1 for _ in range(6)) for _ in range(7)]
+    span = module_span(rows)
+    assert span.rank == 12
+    fixed, levels = kernel_pairs(2, 6, list(span.basis))
+    assert levels[0] == ([], list(span.basis)) and levels[1][0]
+    assert_kernel_pairs_match_the_walk(2, 6, list(span.basis))
+    assert hom_counts(2, 6, span.basis) == walked_hom_counts(2, 6, span.basis)
+
+
+def test_kernel_pairs_on_every_fixture_row(monkeypatch):
+    # with no walk of one block, every fixture span is split and its kernel paired to F_k
+    monkeypatch.setattr(codes_module, "LOW_ROWS", 0)
+    rows = load_table_rows()
+    assert len(rows) == 45
+    for row in rows:
+        span = code_span(build_row_code(row))
+        assert hom_counts(span.k, span.n, span.basis) == walked_hom_counts(
+            span.k, span.n, span.basis
+        ), row.generator
+        _, _, kernel = residue_split(span.k, span.n, span.basis)
+        assert len(kernel_pairs(span.k, span.n, kernel)[1]) == span.k
+        assert_kernel_pairs_match_the_walk(span.k, span.n, kernel)
 
 
 def oracle_bound_check(code: QTCode) -> dict:

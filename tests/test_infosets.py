@@ -15,10 +15,13 @@ from collections import Counter
 
 import pytest
 
+from rkcodes import gf2
+from rkcodes.analysis import build_row_code, load_table_rows
 from rkcodes.codes import QTCode, binary_image, code_span
 from rkcodes.gf2 import (
     LOW_ROWS,
     F2Span,
+    _systematic,
     info_set_min_weight,
     min_weight,
     popcounts,
@@ -93,6 +96,81 @@ def test_gray_image_min_distance_matches_walk(k):
         assert img.min_distance() == d, code
         seen.add(img.rank)
     assert len(seen) >= 3  # several ranks past one block
+
+
+def set_count(basis) -> int:
+    """t: the number of disjoint information sets info_set_min_weight takes."""
+    t, columns = 0, (1 << max(basis).bit_length()) - 1
+    while (found := _systematic(basis, columns)) is not None:
+        t, columns = t + 1, columns & ~found[1]
+    return t
+
+
+def counted_walks(monkeypatch) -> list[int]:
+    """Ranks of the spans info_set_min_weight walks from now on, in call order."""
+    walks: list[int] = []
+    walk = gf2.span_min_weight
+
+    def counted(basis, *args):
+        walks.append(len(basis))
+        return walk(basis, *args)
+
+    monkeypatch.setattr(gf2, "span_min_weight", counted)
+    return walks
+
+
+def test_info_set_min_weight_matches_walk_at_ranks_15_to_20(monkeypatch):
+    # ranks 15..20: pooled codes, random codes of length 2-3 times their rank,
+    # and Gray images at k = 1..3
+    rng = random.Random(1520)
+    bases = [pooled_basis(rng, rank) for rank in range(15, 21) for _ in range(2)]
+    for rank in range(15, 21):
+        for _ in range(3):
+            length = rng.randint(2 * rank, 3 * rank)
+            span = F2Span()
+            while span.rank < rank:
+                span.add(rng.getrandbits(length))
+            bases.append(span.basis())
+    for k in (1, 2, 3):
+        codes = random_qt_codes(random.Random(200 + k), k, 4, range(15, 21))
+        bases += [binary_image(code).rows for code in codes]
+    distances = [span_min_weight(basis) for basis in bases]
+    walks = counted_walks(monkeypatch)
+    inside_a_level = 0
+    for basis, d in zip(bases, distances):
+        walked = len(walks)
+        assert info_set_min_weight(basis) == d, basis
+        t = set_count(basis)
+        # a search stops once t*w + j >= d, after j < t bases have weighed level w
+        inside_a_level += len(walks) == walked and d % t != 0 and d > 2 * t
+    assert inside_a_level >= 8
+    assert len(walks) <= len(bases) // 4
+
+
+# An [80,17,24] image over R_2 of the benchmark's enumerate shape (ell=2, m=5)
+# with 4 information sets; its level-1 weight is already 24, and levels 2..5
+# weigh 4 * (136 + 680 + 2380 + 6188) combinations instead of 2^17 words.
+PINNED_80_17_24 = "a7728|92452"
+
+
+def test_info_sets_reach_d_of_an_80_17_24_image_without_a_walk(monkeypatch):
+    img = binary_image(QTCode.from_strings(2, [PINNED_80_17_24]))
+    assert (img.length, img.rank, set_count(img.rows)) == (80, 17, 4)
+    assert span_min_weight(img.rows) == 24
+    walks = counted_walks(monkeypatch)
+    assert info_set_min_weight(img.rows) == 24
+    assert walks == []
+
+
+@pytest.mark.parametrize("generator", ["uuuu11|uuu103|u1u311", "uuu1013|uu01033|uu11101"])
+def test_rank_11_fixture_images_still_walk(monkeypatch, generator):
+    # 2^11 words walk cheaper than the passes their 3 sets would need
+    (row,) = [row for row in load_table_rows() if row.generator == generator]
+    img = binary_image(build_row_code(row))
+    assert img.rank == 11 and set_count(img.rows) == 3
+    walks = counted_walks(monkeypatch)
+    assert info_set_min_weight(img.rows) == row.d
+    assert walks == [11]
 
 
 @pytest.mark.parametrize("rank", [0, 1, LOW_ROWS, LOW_ROWS + 2])

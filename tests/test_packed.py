@@ -3,8 +3,8 @@
 The oracles below are the implementations the flat-int code replaced:
 module spans by RingElement multiplication, twisted shifts (in spanning
 rows and in the shift-invariance check) by polyqt.shift_n, Gray images by
-GrayMap.image on every codeword, and the search orbit check on formatted
-generator strings.  Search builds codes straight from digit tuples, so the
+GrayMap.image on every codeword, residue words by the residue of every
+RingElement, and the search orbit check on formatted generator strings.  Search builds codes straight from digit tuples, so the
 QTCode it used to build per candidate, and the base-2^(2^k) decode of a
 tuple index, are oracles too.
 """
@@ -30,6 +30,7 @@ from rkcodes.codes import (
     interleave,
     module_span,
     qt_generator_matrix,
+    residue_word,
     rows_shift_invariant,
     spanning_rows,
 )
@@ -65,6 +66,16 @@ def random_vec(rng: random.Random, k: int, n: int, alphabet=None):
     size = 1 << (1 << k)
     alphabet = alphabet or range(size)
     return tuple(RingElement(k, rng.choice(alphabet)) for _ in range(n))
+
+
+@given(st.data())
+def test_residue_word_matches_the_residue_of_each_element(data):
+    k = data.draw(st.integers(1, 6))  # every ring the library takes
+    n = data.draw(st.integers(1, 24))
+    flat = data.draw(st.sampled_from([0, (1 << (n << k)) - 1]) | st.integers(0, (1 << (n << k)) - 1))
+    vec = [RingElement(k, flat >> (i << k) & (1 << (1 << k)) - 1) for i in range(n)]
+    assert flatten_vec(vec) == flat
+    assert residue_word(flat, k, n) == sum((e.coeffs & 1) << i for i, e in enumerate(vec))
 
 
 def test_module_span_rejects_mixed_rings():
