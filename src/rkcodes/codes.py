@@ -19,11 +19,13 @@ kind, and the span of the mapped rows is weighed by int.bit_count like a
 binary image.  The weight is invariant under the unit group U, and only
 the unit 1 fixes a word outside the residue kernel.  So an R_k-module is
 weighed as its residue kernel plus one word of each unit orbit outside
-it, each counted |U| times (residue_split, hom_counts), and hom_minima
-walks the same words for minima only.  Inside the kernel the units
-1 + u_j fix more words, so hom_counts weighs it one word per pair y,
-(1+u_j)*y of distinct words, counted twice, plus the words every u_j
-kills (kernel_pairs).
+it, each counted |U| times, and hom_minima walks the same words for
+minima only.  Inside the kernel the units 1 + u_j fix more words, so
+hom_counts weighs it one word per pair y, (1+u_j)*y of distinct words,
+counted twice, plus the words every u_j kills.  Both are one split,
+_split at y -> u_A*y: u_top*y is y's residue word on the top bit of each
+coordinate, so the residue split (residue_split) is the split at u_top,
+and each kernel level the split at u_j.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -459,31 +461,60 @@ def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
     return list, partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
 
 
+def _split(
+    k: int, n: int, rows: Sequence[int], a: int
+) -> tuple[list[int], list[int], list[int]]:
+    """(images, lifts, kernel): the F2-span of flat words split at y -> u_A*y, A = a.
+
+    images is the RREF basis of the u_A*y, with pivots q_1 < ... < q_s.
+    One RREF of u_A*y | (y & key) << W | y << 2W, W the width of a flat
+    word, gives the rest: its rows with a nonzero first part are the lifts
+    g_i, u_A*g_i with pivot q_i, and the other rows, shifted down, span the
+    kernel {y : u_A*y = 0}.  The key is the q_i for u_j, and every ideal
+    bit of the coordinates of the q_i for u_top; at k = 1 the two agree.
+
+    For an R_k-module each lift is zero on the key, and the kernel basis is
+    made of s groups of `group` rows, group i the rows with a key bit at
+    q_i's coordinate (group = 2^k - 1 for u_top, one ideal bit each;
+    group = 1 for u_j, the row with bit q_i), followed by rows zero on the
+    key.  _cosets(lifts, kernel, group) then holds one word of each class
+    of 2^group words that the callers weigh as one: 2^f + 2^group * sum
+    |g_i + E_i| = 2^b, with b and f the ranks of the rows and of the
+    kernel.  At u_top, u_top*y is y's residue word on the top bit of each
+    coordinate: the kernel is the residue kernel, and a word y outside it
+    whose last lift is g_i has a unit at q_i's coordinate, so only the unit
+    1 of the unit group U fixes y and no unit changes that last lift; the
+    orbit U*y, of |U| = 2^group words, meets g_i + E_i exactly once.  At
+    u_j, (1+u_j)*y = y + u_j*y is a unit multiple of y, and y exactly when
+    u_j*y = 0; the two words of a pair differ at q_i for g_i the last lift
+    they hold, so g_i + E_i holds one word of each pair outside the kernel.
+    """
+    w, width = 1 << k, n << k
+    mask = _monomial_masks(k, n)[a][1]
+    images = list(F2Span((y & mask) << a for y in rows).basis())
+    q = sum(r & -r for r in images)
+    key = (q >> a) * ((1 << w) - 2) if a == w - 1 else q
+    joint = F2Span((y & mask) << a | (y & key) << width | y << 2 * width for y in rows).basis()
+    low = (1 << width) - 1
+    lifts = [r >> 2 * width for r in joint if r & low]
+    kernel = [r >> 2 * width for r in joint if not r & low]
+    return images, lifts, kernel
+
+
 def residue_split(
     k: int, n: int, basis: Sequence[int]
 ) -> tuple[list[int], list[int], list[int]]:
     """(residues, lifts, kernel): the F2-span of flat words split at the residue map.
 
-    residues is the residue code's RREF basis, with pivots p_1 < ... < p_a.
-    One RREF of residue(b) | (b & ideal) << n | b << (n + n*2^k), where
-    ideal keeps the 2^k - 1 bits of the maximal ideal at each of p_1..p_a,
-    gives the rest: the rows with a nonzero residue part are the lifts r_i,
-    one per residue row, and the other rows, shifted down, span the residue
-    kernel.  In an R_k-module the kernel maps onto the ideal at p_1..p_a,
-    so r_i has the coordinate 1 at p_i and 0 at every other p_j, and the
-    kernel basis is made of a groups of 2^k - 1 rows, group i with one
-    ideal bit set at p_i and none at the other pivots, followed by rows
-    that are zero at every pivot coordinate.
+    This is _split at u_top.  residues is the residue code's RREF basis
+    with each residue bit on the top bit of its coordinate, so each word
+    weighs its residue weight.  In an R_k-module the lift r_i has the
+    coordinate 1 at the i-th residue pivot p_i and 0 at every other p_j,
+    and the kernel rows come in one group of 2^k - 1 per p_i, each row with
+    one ideal bit at p_i; the cosets of _cosets(lifts, kernel, 2^k - 1)
+    hold one word of every unit orbit outside the residue kernel.
     """
-    words = [residue_word(b, k, n) for b in basis]
-    residues = list(F2Span(words).basis())
-    coordinate = (1 << (1 << k)) - 2  # the ideal bits of coordinate 0
-    ideal = sum(coordinate << ((r & -r).bit_length() - 1 << k) for r in residues)
-    low, high = (1 << n) - 1, n + (n << k)
-    joint = F2Span(r | (b & ideal) << n | b << high for r, b in zip(words, basis)).basis()
-    lifts = [r >> high for r in joint if r & low]
-    kernel = [r >> high for r in joint if not r & low]
-    return residues, lifts, kernel
+    return _split(k, n, basis, (1 << k) - 1)
 
 
 def _cosets(
@@ -497,55 +528,6 @@ def _cosets(
         yield start, lifts[:i] + rows[: i * group] + rows[(i + 1) * group:]
 
 
-def _orbit_cosets(
-    k: int, lifts: list[int], kernel: list[int]
-) -> Iterator[tuple[int, list[int]]]:
-    """(r_i, basis of E_i) for each coset r_i + E_i, with E_i = span(r_<i, kernel outside group i).
-
-    lifts and kernel as residue_split gives them for an R_k-module, in any
-    rows -> rows view.  A word y outside the kernel whose last lift is r_i
-    has a unit at p_i, so only the unit 1 of the unit group U fixes y, and
-    no unit changes that last lift.  So the orbit U*y meets the words
-    with coordinate 1 at p_i exactly once, and those words are r_i + E_i:
-    the cosets hold one word of every orbit outside the kernel.
-    """
-    return _cosets(lifts, kernel, (1 << k) - 1)
-
-
-def kernel_pairs(
-    k: int, n: int, kernel: list[int]
-) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
-    """(fixed, levels): the residue kernel split into pairs y, (1+u_j)*y of equal weight.
-
-    (1+u_j)*y = y + u_j*y is a unit multiple of y, and it is y exactly when
-    u_j*y = 0.  With F_0 the kernel and F_j = {y in F_(j-1) : u_j*y = 0},
-    the words of F_(j-1) outside F_j fall into such pairs.  Level j is one
-    RREF of u_j*y | (y & q) << W | y << 2W over the rows y of F_(j-1), W the
-    width of a flat word and q the pivots q_1 < ... < q_s of u_j*F_(j-1).
-    Its rows with a nonzero first part are the lifts g_i, u_j*g_i with
-    pivot q_i, and each g_i is 0 at every q_l.  The other rows span F_j,
-    and row i of them is the one with bit q_i.  The two words of a pair
-    differ at q_i, for g_i the last lift they hold, so one word of every
-    pair lies in a coset g_i + E_i, E_i spanned by g_<i and the rows of
-    F_j but row i: levels[j-1] = (lifts, rows of F_j) gives them through
-    _cosets(lifts, rows, 1), and 2^f + 2 * sum |g_i + E_i| = 2^b, with b
-    and f the ranks of F_(j-1) and F_j.  The levels stop at F_k, or at an
-    F_j of one block; fixed is its basis.
-    """
-    masks = _monomial_masks(k, n)
-    width = n << k
-    low = (1 << width) - 1
-    rows, levels = kernel, []
-    for a, mask in (masks[1 << j] for j in range(k)):
-        if len(rows) <= LOW_ROWS:
-            break
-        q = sum(r & -r for r in F2Span((y & mask) << a for y in rows).basis())
-        joint = F2Span((y & mask) << a | (y & q) << width | y << 2 * width for y in rows).basis()
-        rows = [r >> 2 * width for r in joint if not r & low]
-        levels.append(([r >> 2 * width for r in joint if r & low], rows))
-    return rows, levels
-
-
 def _is_module(k: int, n: int, basis: Sequence[int]) -> bool:
     """True iff the F2-span of flat words is closed under u_1, ..., u_k: an R_k-module."""
     span = F2Span(basis)
@@ -557,30 +539,28 @@ def _is_module(k: int, n: int, basis: Sequence[int]) -> bool:
 def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
     """Homogeneous weight -> count over the F2-span of flat length-n words over R_k.
 
-    The homogeneous weight is invariant under the unit group U, so an
-    R_k-module of more than one block is weighed as its residue kernel plus
-    |U| times the orbit cosets of residue_split, and the kernel as its
-    fixed part plus twice the pair cosets of kernel_pairs: with b the
-    kernel's rank and f that of its fixed part, (2^b + 2^f)/2 +
-    (2^rank - 2^b)/|U| words instead of 2^rank.  Other spans are walked
-    word by word.
+    The homogeneous weight is invariant under the unit group U.  An
+    R_k-module of more than one block is split at u_top (group 2^k - 1),
+    then its kernel at u_1, ..., u_k (group 1), each level by _split while
+    the rows left exceed one block.  Each level weighs its cosets, one word
+    of each unit orbit outside the residue kernel at u_top and one word of
+    each pair y, (1+u_j)*y at u_j, and counts every word 2^group times; the
+    rows left at the end are walked.  With b the residue kernel's rank and
+    f that of the rows left, that is (2^rank - 2^b)/|U| + (2^b + 2^f)/2
+    words instead of 2^rank.  Other spans are walked word by word.
     """
     image, weigh = _hom_view(k, n)
-    if len(basis) <= LOW_ROWS or not _is_module(k, n, basis):
-        return span_counts(image(basis), weigh)
-    _, lifts, kernel = residue_split(k, n, basis)
-    fixed, levels = kernel_pairs(k, n, kernel)
-    lifts, kernel = image(lifts), image(kernel)
-    orbits: Counter = Counter()
-    for start, rows in _orbit_cosets(k, lifts, kernel):
-        orbits.update(span_counts(rows, weigh, start))
-    pairs: Counter = Counter()
-    for level in levels:
-        for start, rows in _cosets(*map(image, level), 1):
-            pairs.update(span_counts(rows, weigh, start))
-    counts = span_counts(image(fixed), weigh)
-    counts.update({w: c * 2 for w, c in pairs.items()})
-    counts.update({w: c * unit_count(k) for w, c in orbits.items()})
+    counts: Counter = Counter()
+    rows = basis
+    if len(rows) > LOW_ROWS and _is_module(k, n, rows):
+        top = (1 << k) - 1
+        for a, group in [(top, top)] + [(1 << j, 1) for j in range(k)]:
+            if len(rows) <= LOW_ROWS:
+                break
+            _, lifts, rows = _split(k, n, rows, a)
+            for start, coset in _cosets(image(lifts), image(rows), group):
+                counts.update({w: c << group for w, c in span_counts(coset, weigh, start).items()})
+    counts.update(span_counts(image(rows), weigh))
     return counts
 
 
@@ -592,17 +572,17 @@ def hom_minima(
     lifts and kernel as residue_split gives them for an R_k-module; None
     stands for no word.  The kernel's minimum comes from gf2.min_weight on
     its character rows (a min-only walk past K_MAX), and the other from a
-    min-only walk of the orbit cosets: one word of each unit orbit.
+    min-only walk of the cosets of _cosets(lifts, kernel, 2^k - 1): one
+    word of each unit orbit outside the kernel, and the weight is invariant
+    under the unit group.
     """
     image, weigh = _hom_view(k, n)
     lifts, kernel = image(lifts), image(kernel)
     d_kernel = None
     if kernel:
         d_kernel = min_weight(kernel) if k <= K_MAX else span_min_weight(kernel, weigh)
-    d_nonkernel = min(
-        (span_min_weight(rows, weigh, start) for start, rows in _orbit_cosets(k, lifts, kernel)),
-        default=None,
-    )
+    cosets = _cosets(lifts, kernel, (1 << k) - 1)
+    d_nonkernel = min((span_min_weight(rows, weigh, start) for start, rows in cosets), default=None)
     return d_kernel, d_nonkernel
 
 
@@ -613,30 +593,9 @@ def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> We
     return WeightEnumerator(hom_counts(span.k, span.n, span.basis))
 
 
-@lru_cache(maxsize=None)
-def _residue_digits(k: int) -> tuple[bytes, int, int]:
-    """(table, per, stride): how a flat word over R_k reads as one numeral of its residues.
-
-    A byte holds per = 8 >> k coordinates for k <= 3, and one coordinate
-    fills stride bytes for k >= 3, with its residue in bit 0 of the lowest.
-    table is a bytes.translate table that sends byte b to the digit, in
-    base 2^per, whose bit j is the residue of the j-th coordinate in b.
-    """
-    per, width = max(8 >> k, 1), min(1 << k, 8)
-    value = [sum((b >> j * width & 1) << j for j in range(per)) for b in range(256)]
-    return bytes(b"0123456789abcdef"[v] for v in value), per, max(1 << k >> 3, 1)
-
-
 def residue_word(flat: int, k: int, n: int) -> int:
-    """Bit i = residue (coefficient of u_empty) of coordinate i of a flat word.
-
-    The big-endian bytes of the word, one per stride, go through the table
-    of _residue_digits to one numeral, highest coordinate first, that int()
-    reads back.
-    """
-    table, per, stride = _residue_digits(k)
-    data = flat.to_bytes(-(-n // per) * stride, "big")
-    return int(data[stride - 1 :: stride].translate(table), 1 << per)
+    """Bit i = residue (coefficient of u_empty) of coordinate i of a flat word."""
+    return sum((flat >> (i << k) & 1) << i for i in range(n))
 
 
 def residue_code(code: QTCode) -> BinaryCode:

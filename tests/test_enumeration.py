@@ -18,19 +18,19 @@ from rkcodes.codes import (
     _cosets,
     _is_module,
     _map_coordinates,
-    _orbit_cosets,
+    _split,
     code_span,
     flatten_vec,
     hom_counts,
     hom_minima,
     hom_weight_enumerator,
-    kernel_pairs,
     module_span,
     residue_code,
     residue_split,
+    residue_word,
     unflatten_vec,
 )
-from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_iter
+from rkcodes.gf2 import LOW_ROWS, F2Span, min_weight, span_counts, span_iter
 from rkcodes.ring import (
     K_MAX,
     RingElement,
@@ -169,7 +169,7 @@ def orbit_split_counts(k: int, n: int, basis) -> Counter:
     """Kernel counts plus |U| times the orbit cosets' counts, each coset word weighed alone."""
     _, lifts, kernel = residue_split(k, n, basis)
     counts = walked_hom_counts(k, n, kernel)
-    for start, rows in _orbit_cosets(k, lifts, kernel):
+    for start, rows in _cosets(lifts, kernel, (1 << k) - 1):
         coset = Counter(hom_weight_vec(unflatten_vec(start ^ y, k, n)) for y in span_iter(rows))
         counts.update({w: c * unit_count(k) for w, c in coset.items()})
     return counts
@@ -273,8 +273,8 @@ def assert_orbit_split_matches_the_walk(span) -> None:
     assert hom_minima(k, n, lifts, kernel) == walked_minima(k, n, basis, kernel)
     # each coset starts at a word with coordinate 1 at its pivot p_i, and E_i is zero there
     size, words = unit_count(k), 1 << len(kernel)
-    for residue, (start, rows) in zip(residues, _orbit_cosets(k, lifts, kernel)):
-        shift = (residue & -residue).bit_length() - 1 << k
+    for residue, (start, rows) in zip(residues, _cosets(lifts, kernel, (1 << k) - 1)):
+        shift = (residue & -residue).bit_length() - 1 >> k << k
         coordinate = (1 << (1 << k)) - 1 << shift
         assert start & coordinate == 1 << shift
         assert not any(row & coordinate for row in rows)
@@ -294,6 +294,78 @@ def test_orbit_split_matches_the_walk(k):
     spans.append(module_span([(RingElement(k, 0),) * 3]))  # the empty kernel of the zero span
     for span in spans:
         assert_orbit_split_matches_the_walk(span)
+
+
+def oracle_residue_split(k: int, n: int, basis) -> tuple[list[int], list[int], list[int]]:
+    """(residue words, lifts, kernel) of the split keyed on residue words, not on u_top.
+
+    One RREF of the residue words, then one of residue(b) | (b & ideal) << n
+    | b << (n + n*2^k), ideal the 2^k - 1 ideal bits at each residue pivot.
+    """
+    words = [residue_word(b, k, n) for b in basis]
+    residues = list(F2Span(words).basis())
+    coordinate = (1 << (1 << k)) - 2  # the ideal bits of coordinate 0
+    ideal = sum(coordinate << ((r & -r).bit_length() - 1 << k) for r in residues)
+    low, high = (1 << n) - 1, n + (n << k)
+    joint = F2Span(r | (b & ideal) << n | b << high for r, b in zip(words, basis)).basis()
+    lifts = [r >> high for r in joint if r & low]
+    kernel = [r >> high for r in joint if not r & low]
+    return residues, lifts, kernel
+
+
+def assert_split_matches_the_oracle(span) -> None:
+    """residue_split against the residue-word split, then every level of the u_top, u_j walk.
+
+    At each level, with b the rank of its rows, f that of its kernel and
+    E_i the coset spans, 2^f + 2^group * sum 2^dim(E_i) = 2^b.
+    """
+    k, n, basis = span.k, span.n, span.basis
+    residues, lifts, kernel = residue_split(k, n, basis)
+    words, *expected = oracle_residue_split(k, n, basis)
+    assert [lifts, kernel] == expected
+    top = (1 << k) - 1
+    assert [residue_word(r >> top, k, n) for r in residues] == words  # residues on the top bit
+    rows = list(basis)
+    for a, group in [(top, top)] + [(1 << j, 1) for j in range(k)]:
+        images, lifts, kernel = _split(k, n, rows, a)
+        assert len(lifts) == len(images) and len(lifts) + len(kernel) == len(rows)
+        cosets = list(_cosets(lifts, kernel, group))
+        assert all(F2Span(e).rank == len(e) for _, e in cosets)
+        assert 2 ** len(kernel) + sum(2 ** group * 2 ** len(e) for _, e in cosets) == 2 ** len(rows)
+        rows = kernel
+
+
+def assert_residue_distance(code: QTCode) -> None:
+    residues = residue_split(code.k, code.n, code_span(code).basis)[0]
+    if residues:
+        assert min_weight(residues) == residue_code(code).min_distance(), code
+
+
+def test_split_matches_the_oracle_on_every_fixture_row():
+    rows = load_table_rows()
+    assert len(rows) == 45
+    for row in rows:
+        code = build_row_code(row)
+        assert_split_matches_the_oracle(code_span(code))
+        assert_residue_distance(code)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_split_matches_the_oracle_on_random_modules(k):
+    spans = random_module_spans(70 + k, 20, k, 1, LOW_ROWS)
+    spans += random_module_spans(80 + k, 8 if k < 4 else 3, k, LOW_ROWS + 1, 16)
+    spans.append(module_span([(RingElement(k, 0),) * 3]))
+    if k <= K_MAX:
+        spans.append(code_span(QTCode.from_strings(k, [IDEAL_GENERATORS[k]], notation="generic")))
+    for span in spans:
+        assert_split_matches_the_oracle(span)
+    if k <= K_MAX:
+        codes = random_codes(90 + k, 20, ks=(k,), max_rank=18)
+    else:
+        codes = [QTCode.from_strings(4, ["1+u1|u2u3"], notation="generic")]
+    assert any(residue_split(c.k, c.n, code_span(c).basis)[0] for c in codes)
+    for code in codes:
+        assert_residue_distance(code)
 
 
 def ideal_spans(seed: int, count: int, k: int, min_rank: int, max_rank: int):
@@ -320,14 +392,30 @@ def ideal_spans(seed: int, count: int, k: int, min_rank: int, max_rank: int):
     return out
 
 
+def kernel_levels(k: int, n: int, kernel) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+    """(fixed, levels): the kernel split at u_1, ..., u_k as hom_counts walks it.
+
+    levels[j-1] = (lifts, rows of F_j) of _split at u_j over the rows of
+    F_(j-1); the levels stop at F_k, or at an F_j of one block, whose
+    basis is fixed.
+    """
+    rows, levels = kernel, []
+    for j in range(k):
+        if len(rows) <= codes_module.LOW_ROWS:
+            break
+        _, lifts, rows = _split(k, n, rows, 1 << j)
+        levels.append((lifts, rows))
+    return rows, levels
+
+
 def assert_kernel_pairs_match_the_walk(k: int, n: int, kernel) -> None:
-    """Each level of kernel_pairs against RingElement products and per-word weights.
+    """Each level of kernel_levels against RingElement products and per-word weights.
 
     At level j the cosets' words, their partners y + u_j*y and F_j must
     split F_(j-1) exactly; then counts(F_(j-1)) = counts(F_j) + twice the
     cosets' counts.
     """
-    fixed, levels = kernel_pairs(k, n, kernel)
+    fixed, levels = kernel_levels(k, n, kernel)
     assert len(levels) <= k
     weight = lambda flat: hom_weight_vec(unflatten_vec(flat, k, n))
     counts = Counter(map(weight, span_iter(fixed)))
@@ -355,7 +443,7 @@ def test_kernel_pairs_match_the_walk_above_one_block(k):
     for span in spans:
         assert_kernel_pairs_match_the_walk(k, span.n, list(span.basis))
         _, lifts, kernel = residue_split(k, span.n, span.basis)
-        assert not lifts and kernel_pairs(k, span.n, kernel)[1]  # split at least once
+        assert not lifts and kernel_levels(k, span.n, kernel)[1]  # split at least once
         assert hom_counts(k, span.n, span.basis) == walked_hom_counts(k, span.n, span.basis)
 
 
@@ -376,7 +464,7 @@ def test_kernel_pairs_level_is_empty_when_u_j_kills_the_kernel():
     rows = [tuple(RingElement(2, rng.getrandbits(4)) * u1 for _ in range(6)) for _ in range(7)]
     span = module_span(rows)
     assert span.rank == 12
-    fixed, levels = kernel_pairs(2, 6, list(span.basis))
+    fixed, levels = kernel_levels(2, 6, list(span.basis))
     assert levels[0] == ([], list(span.basis)) and levels[1][0]
     assert_kernel_pairs_match_the_walk(2, 6, list(span.basis))
     assert hom_counts(2, 6, span.basis) == walked_hom_counts(2, 6, span.basis)
@@ -393,7 +481,7 @@ def test_kernel_pairs_on_every_fixture_row(monkeypatch):
             span.k, span.n, span.basis
         ), row.generator
         _, _, kernel = residue_split(span.k, span.n, span.basis)
-        assert len(kernel_pairs(span.k, span.n, kernel)[1]) == span.k
+        assert len(kernel_levels(span.k, span.n, kernel)[1]) == span.k
         assert_kernel_pairs_match_the_walk(span.k, span.n, kernel)
 
 
