@@ -314,13 +314,13 @@ def _keep_best(best: dict, cell: tuple[int, int], key: tuple[int, str]) -> None:
 
 
 def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
-    """Best (-d, generator string) per (length, dimension) cell, and budget skips, of a chunk."""
-    k = payload["k"]
-    ell = payload["ell"]
-    m = payload["m"]
-    budget = payload["budget"]
-    notation = payload["notation"]
-    lam = parse_element(payload["lam"], k, notation)
+    """Best (-d, generator string) per (length, dimension) cell, and budget skips, of a chunk.
+
+    payload: {"config": SearchConfig, "m": coindex, "tuples" or "index_range": candidates}.
+    """
+    config, m = payload["config"], payload["m"]
+    k, ell, notation = config.k, config.ell, config.notation
+    lam = parse_element(config.lam, k, notation)
     tokens = _orbit_tokens(k, ell, m, notation)
     lam_times = [(lam * e).coeffs for e in elements(k)]
     if "index_range" in payload:
@@ -341,7 +341,7 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
         span = _span_of_flat(k, ell * m, generator_rows(k, lam.coeffs, ell, m, digits))
         img = binary_image_of_span(span)
         try:
-            d = img.min_distance(budget)
+            d = img.min_distance(config.budget)
         except BudgetError:
             skipped += 1
             continue
@@ -361,13 +361,6 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     size = 1 << (1 << config.k)
-    payload_base = {
-        "k": config.k,
-        "lam": config.lam,
-        "ell": config.ell,
-        "budget": config.budget,
-        "notation": config.notation,
-    }
     payloads = []
     rng = random.Random(config.seed)
     for m in config.m_values:
@@ -391,7 +384,7 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
             part = (
                 {"tuples": tuples[lo:hi]} if config.mode == "random" else {"index_range": (lo, hi)}
             )
-            payloads.append(dict(payload_base, m=m, **part))
+            payloads.append({"config": config, "m": m, **part})
 
     if jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -541,20 +541,21 @@ def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
 
     The homogeneous weight is invariant under the unit group U.  An
     R_k-module of more than one block is split at u_top (group 2^k - 1),
-    then its kernel at u_1, ..., u_k (group 1), each level by _split while
-    the rows left exceed one block.  Each level weighs its cosets, one word
-    of each unit orbit outside the residue kernel at u_top and one word of
-    each pair y, (1+u_j)*y at u_j, and counts every word 2^group times; the
-    rows left at the end are walked.  With b the residue kernel's rank and
-    f that of the rows left, that is (2^rank - 2^b)/|U| + (2^b + 2^f)/2
-    words instead of 2^rank.  Other spans are walked word by word.
+    then its kernel at each u_j other than u_top (group 1; at k = 1, u_1
+    is u_top), each level by _split while the rows left exceed one block.
+    Each level weighs its cosets, one word of each unit orbit outside the
+    residue kernel at u_top and one word of each pair y, (1+u_j)*y at u_j,
+    and counts every word 2^group times; the rows left at the end are
+    walked.  With b the residue kernel's rank and f that of the rows left,
+    that is (2^rank - 2^b)/|U| + (2^b + 2^f)/2 words instead of 2^rank.
+    Other spans are walked word by word.
     """
     image, weigh = _hom_view(k, n)
     counts: Counter = Counter()
     rows = basis
     if len(rows) > LOW_ROWS and _is_module(k, n, rows):
         top = (1 << k) - 1
-        for a, group in [(top, top)] + [(1 << j, 1) for j in range(k)]:
+        for a, group in [(top, top)] + [(1 << j, 1) for j in range(k) if 1 << j != top]:
             if len(rows) <= LOW_ROWS:
                 break
             _, lifts, rows = _split(k, n, rows, a)

@@ -8,7 +8,7 @@ from itertools import chain, islice
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-LOW_ROWS = 10  # span_counts blocks hold 2^LOW_ROWS words
+LOW_ROWS = 10  # span_blocks blocks hold 2^LOW_ROWS words
 
 
 class F2Span:
@@ -62,10 +62,6 @@ class F2Span:
         return tuple(self._rows[p] for p in sorted(self._rows))
 
 
-def gf2_rank(rows: Iterable[int]) -> int:
-    return F2Span(rows).rank
-
-
 def span_iter(basis: Sequence[int]) -> Iterator[int]:
     """All XOR-combinations of basis rows in Gray-code order, starting at 0.
 
@@ -79,12 +75,24 @@ def span_iter(basis: Sequence[int]) -> Iterator[int]:
         yield cur
 
 
-def span_block(basis: Sequence[int], start: int = 0) -> list[int]:
-    """start ^ the span of the first LOW_ROWS rows, in span_iter order (start first)."""
+def span_blocks(basis: Sequence[int], start: int = 0) -> Iterator[Iterable[int]]:
+    """The words start ^ span(basis), in blocks of 2^LOW_ROWS words.
+
+    The first block is a list: start ^ the span of the first LOW_ROWS rows,
+    start first.  Each other combination h of the remaining rows gives
+    map(h.__xor__, first block), so memory is one block whatever the rank,
+    and a weigher made of map() over a C-level callable such as
+    int.bit_count costs one Python iteration per block.
+    """
     block = [start]
     for row in basis[:LOW_ROWS]:
         block += [row ^ x for x in block]
-    return block
+    yield block
+    if len(basis) > LOW_ROWS:
+        high = span_iter(basis[LOW_ROWS:])
+        next(high)  # h = 0: the first block
+        for h in high:
+            yield map(h.__xor__, block)
 
 
 popcounts = partial(map, int.bit_count)  # weigher for Hamming weights
@@ -95,21 +103,12 @@ def span_counts(
 ) -> Counter:
     """Weight -> count over the 2^len(basis) words start ^ (XOR-combination of basis rows).
 
-    The coset start ^ span of the first LOW_ROWS rows is built once as a
-    block of ints; every combination h of the remaining rows (in span_iter
-    order) then contributes the block h ^ block.  weigh receives each block
-    as an iterator of words and returns one weight per word, so a weigher
-    built from map() over a C-level callable such as int.bit_count costs a
-    few C calls per word and one Python iteration per 2^LOW_ROWS words.
-    Memory is one block, whatever the rank.  A basis of at most LOW_ROWS
-    rows is one block and is weighed as it stands.
+    weigh receives each block of span_blocks as an iterator of words and
+    returns one weight per word.
     """
-    block = span_block(basis, start)
-    if len(basis) <= LOW_ROWS:
-        return Counter(weigh(iter(block)))
     counts: Counter = Counter()
-    for h in span_iter(basis[LOW_ROWS:]):
-        counts.update(weigh(map(h.__xor__, block)))
+    for block in span_blocks(basis, start):
+        counts.update(weigh(iter(block)))
     return counts
 
 
@@ -120,20 +119,17 @@ def span_min_weight(
 ) -> int:
     """Smallest weight of a nonzero word of start ^ span(basis), for independent rows.
 
-    Walks the same blocks as span_counts but keeps only each block's
-    minimum.  start must be 0 or outside the span.  Then the zero word
-    occurs only for start = 0, as the first word of the first block, and
-    is skipped.
+    The least weight over the blocks of span_blocks.  start must be 0 or
+    outside the span; then the zero word occurs only for start = 0, as the
+    first word, and is skipped.
     """
     if not basis and not start:
         raise ValueError("the zero span has no nonzero word")
-    block = span_block(basis, start)
-    best = min(weigh(iter(block) if start else islice(block, 1, None)))
-    if len(basis) > LOW_ROWS:
-        high = span_iter(basis[LOW_ROWS:])
-        next(high)  # h = 0: the block itself, done above
-        for h in high:
-            best = min(best, min(weigh(map(h.__xor__, block))))
+    blocks = span_blocks(basis, start)
+    first = next(blocks)
+    best = min(weigh(iter(first) if start else islice(first, 1, None)))
+    for block in blocks:
+        best = min(best, min(weigh(block)))
     return best
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from rkcodes.gf2 import F2Span, bits_to_str, gf2_rank
+from rkcodes.gf2 import F2Span, bits_to_str
 from rkcodes.ring import K_MAX, RingElement, unit_count
 
 RingVec = tuple[RingElement, ...]
@@ -66,7 +66,7 @@ class GrayMap:
         self.k = k
         self.image_len = unit_count(k)
         self.basis_rows = _PINNED_ROWS.get(k) or _bit_slice_rows(k)
-        if gf2_rank(self.basis_rows) < len(self.basis_rows):
+        if F2Span(self.basis_rows).rank < len(self.basis_rows):
             raise AssertionError("basis table rows are not independent")
         # Decoder: basis row idx tagged with bit image_len + idx, so reducing
         # an image block leaves its coefficient word in the high bits.

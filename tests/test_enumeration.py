@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from rkcodes.codes import (
     _cosets,
     _is_module,
     _map_coordinates,
+    _span_of_flat,
     _split,
     code_span,
     flatten_vec,
@@ -30,7 +32,7 @@ from rkcodes.codes import (
     residue_word,
     unflatten_vec,
 )
-from rkcodes.gf2 import LOW_ROWS, F2Span, min_weight, span_counts, span_iter
+from rkcodes.gf2 import LOW_ROWS, F2Span, min_weight, span_blocks, span_counts, span_iter
 from rkcodes.ring import (
     K_MAX,
     RingElement,
@@ -81,6 +83,18 @@ def random_codes(seed: int, count: int, ks=(1, 2, 3), max_rank: int = 13, min_ra
 def test_span_counts_matches_span_iter(rank):
     basis = random_basis(random.Random(rank), rank, 40)
     assert span_counts(basis, hamming) == Counter(map(int.bit_count, span_iter(basis)))
+
+
+@pytest.mark.parametrize("rank", [0, 1, LOW_ROWS, LOW_ROWS + 1, LOW_ROWS + 3])
+def test_span_blocks_cover_the_coset(rank):
+    basis = random_basis(random.Random(rank), rank + 1, 40)
+    rows, outside = basis[:rank], basis[rank]  # the last row is outside the span of the others
+    for start in (0, outside):
+        blocks = list(span_blocks(rows, start))
+        assert len(blocks) == 2 ** max(0, rank - LOW_ROWS)
+        assert isinstance(blocks[0], list) and blocks[0][0] == start
+        words = Counter(chain.from_iterable(blocks))
+        assert words == Counter(start ^ w for w in span_iter(rows))
 
 
 @settings(max_examples=60)
@@ -468,6 +482,18 @@ def test_kernel_pairs_level_is_empty_when_u_j_kills_the_kernel():
     assert levels[0] == ([], list(span.basis)) and levels[1][0]
     assert_kernel_pairs_match_the_walk(2, 6, list(span.basis))
     assert hom_counts(2, 6, span.basis) == walked_hom_counts(2, 6, span.basis)
+
+
+def test_hom_counts_splits_an_r1_module_once(monkeypatch):
+    # at k = 1, u_1 is u_top: the residue kernel is walked, not split again at u_1
+    span = _span_of_flat(1, 12, [0b10 << 2 * i for i in range(12)] + [0b0101])
+    assert span.rank == 13 and len(residue_split(1, 12, span.basis)[2]) > LOW_ROWS
+    calls = []
+    split = codes_module._split
+    monkeypatch.setattr(codes_module, "_split", lambda *args: calls.append(args) or split(*args))
+    counts = hom_counts(1, 12, span.basis)
+    assert len(calls) == 1
+    assert counts == walked_hom_counts(1, 12, span.basis)
 
 
 def test_kernel_pairs_on_every_fixture_row(monkeypatch):

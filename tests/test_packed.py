@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rkcodes import analysis
-from rkcodes.analysis import _evaluate_chunk, _orbit_min_string, _orbit_tokens
+from rkcodes.analysis import SearchConfig, _evaluate_chunk, _orbit_min_string, _orbit_tokens
 from rkcodes.codes import (
     BinaryCode,
     QTCode,
@@ -275,7 +275,7 @@ def test_exhaustive_chunk_digits_match_base_size_decode(monkeypatch, lo, hi):
         return orbit_min(digits, *rest)
 
     monkeypatch.setattr(analysis, "_orbit_min_string", recording)
-    payload = {"k": k, "lam": "3", "ell": ell, "m": m, "budget": 24, "notation": None}
-    _evaluate_chunk(dict(payload, index_range=(lo, hi)))
+    config = SearchConfig(k=k, lam="3", ell=ell, m_values=(m,), budget=24)
+    _evaluate_chunk({"config": config, "m": m, "index_range": (lo, hi)})
     expected = [base_size_digits(idx, 4, ell * m) for idx in range(lo, hi)]
     assert seen == [d for d in expected if any(d)]
