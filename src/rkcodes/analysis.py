@@ -7,7 +7,6 @@ import hashlib
 import io
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
@@ -387,6 +386,8 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
             payloads.append({"config": config, "m": m, **part})
 
     if jobs > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_chunk, payloads))
     else:

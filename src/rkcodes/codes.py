@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -393,7 +393,7 @@ class BinaryCode:
         return span_iter(self.rows)
 
 
-@lru_cache(maxsize=2 * K_MAX)
+@cache
 def _byte_table(k: int, character: bool) -> bytes | tuple[bytes, ...]:
     """Image of every byte of a flat word over R_k, k <= K_MAX.
 
@@ -449,16 +449,18 @@ def binary_image(code: QTCode) -> BinaryCode:
     return binary_image_of_span(code_span(code))
 
 
-def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
-    """(rows -> rows, weigher) under which a flat word weighs its homogeneous weight.
+def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
+    """(image, weigh, least) under which a flat word weighs its homogeneous weight.
 
-    For k <= K_MAX the rows go through ring.character_table (see the module
-    docstring) and words weigh their popcount; wider rows stay as they are
-    and each word is weighed one RingElement at a time.
+    For k <= K_MAX image maps rows through ring.character_table (see the
+    module docstring), words weigh their popcount and least, the smallest
+    nonzero weight of a span, is gf2.min_weight; wider rows stay as they
+    are, words are weighed one RingElement at a time and least walks.
     """
     if k <= K_MAX:
-        return partial(_map_coordinates, k, n, character=True), popcounts
-    return list, partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
+        return partial(_map_coordinates, k, n, character=True), popcounts, min_weight
+    weigh = partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
+    return list, weigh, partial(span_min_weight, weigh=weigh)
 
 
 def _split(
@@ -550,7 +552,7 @@ def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
     that is (2^rank - 2^b)/|U| + (2^b + 2^f)/2 words instead of 2^rank.
     Other spans are walked word by word.
     """
-    image, weigh = _hom_view(k, n)
+    image, weigh, _ = _hom_view(k, n)
     counts: Counter = Counter()
     rows = basis
     if len(rows) > LOW_ROWS and _is_module(k, n, rows):
@@ -571,17 +573,14 @@ def hom_minima(
     """Smallest homogeneous weight of a nonzero word inside the residue kernel, and outside it.
 
     lifts and kernel as residue_split gives them for an R_k-module; None
-    stands for no word.  The kernel's minimum comes from gf2.min_weight on
-    its character rows (a min-only walk past K_MAX), and the other from a
-    min-only walk of the cosets of _cosets(lifts, kernel, 2^k - 1): one
-    word of each unit orbit outside the kernel, and the weight is invariant
-    under the unit group.
+    stands for no word.  The kernel's minimum is the least of _hom_view on
+    its image, and the other comes from a min-only walk of the cosets of
+    _cosets(lifts, kernel, 2^k - 1): one word of each unit orbit outside
+    the kernel, and the weight is invariant under the unit group.
     """
-    image, weigh = _hom_view(k, n)
+    image, weigh, least = _hom_view(k, n)
     lifts, kernel = image(lifts), image(kernel)
-    d_kernel = None
-    if kernel:
-        d_kernel = min_weight(kernel) if k <= K_MAX else span_min_weight(kernel, weigh)
+    d_kernel = least(kernel) if kernel else None
     cosets = _cosets(lifts, kernel, (1 << k) - 1)
     d_nonkernel = min((span_min_weight(rows, weigh, start) for start, rows in cosets), default=None)
     return d_kernel, d_nonkernel

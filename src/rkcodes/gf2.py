@@ -75,24 +75,24 @@ def span_iter(basis: Sequence[int]) -> Iterator[int]:
         yield cur
 
 
-def span_blocks(basis: Sequence[int], start: int = 0) -> Iterator[Iterable[int]]:
+def span_blocks(basis: Sequence[int], start: int = 0) -> Iterable[Iterable[int]]:
     """The words start ^ span(basis), in blocks of 2^LOW_ROWS words.
 
     The first block is a list: start ^ the span of the first LOW_ROWS rows,
     start first.  Each other combination h of the remaining rows gives
     map(h.__xor__, first block), so memory is one block whatever the rank,
     and a weigher made of map() over a C-level callable such as
-    int.bit_count costs one Python iteration per block.
+    int.bit_count costs one Python iteration per block.  A span of one
+    block comes back as (block,), so its walk resumes no generator.
     """
     block = [start]
     for row in basis[:LOW_ROWS]:
         block += [row ^ x for x in block]
-    yield block
-    if len(basis) > LOW_ROWS:
-        high = span_iter(basis[LOW_ROWS:])
-        next(high)  # h = 0: the first block
-        for h in high:
-            yield map(h.__xor__, block)
+    if len(basis) <= LOW_ROWS:
+        return (block,)
+    high = span_iter(basis[LOW_ROWS:])
+    next(high)  # h = 0: the first block
+    return chain((block,), (map(h.__xor__, block) for h in high))
 
 
 popcounts = partial(map, int.bit_count)  # weigher for Hamming weights
@@ -125,7 +125,7 @@ def span_min_weight(
     """
     if not basis and not start:
         raise ValueError("the zero span has no nonzero word")
-    blocks = span_blocks(basis, start)
+    blocks = iter(span_blocks(basis, start))
     first = next(blocks)
     best = min(weigh(iter(first) if start else islice(first, 1, None)))
     for block in blocks:

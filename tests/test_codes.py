@@ -133,6 +133,15 @@ def test_budget_errors():
         img.min_distance(budget=3)
 
 
+def test_binary_code_codewords_are_the_span_within_the_budget():
+    img = binary_image(QTCode.from_strings(1, ["0u|0u|uu"], lam="3"))  # [12, 2, 8]
+    words = list(img.codewords())
+    assert len(words) == len(set(words)) == 1 << img.rank
+    assert set(words) == {a ^ b for a in (0, img.rows[0]) for b in (0, img.rows[1])}
+    with pytest.raises(BudgetError):
+        img.codewords(budget=img.rank - 1)
+
+
 def test_from_strings_needs_a_generator():
     with pytest.raises(ValueError, match="^need at least one generator tuple$"):
         QTCode.from_strings(2, [])

@@ -407,14 +407,16 @@ def ideal_spans(seed: int, count: int, k: int, min_rank: int, max_rank: int):
 
 
 def kernel_levels(k: int, n: int, kernel) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
-    """(fixed, levels): the kernel split at u_1, ..., u_k as hom_counts walks it.
+    """(fixed, levels): the kernel split at each u_j other than u_top, as hom_counts walks it.
 
     levels[j-1] = (lifts, rows of F_j) of _split at u_j over the rows of
     F_(j-1); the levels stop at F_k, or at an F_j of one block, whose
-    basis is fixed.
+    basis is fixed.  At k = 1, u_1 is u_top, so there is no level.
     """
     rows, levels = kernel, []
     for j in range(k):
+        if 1 << j == (1 << k) - 1:
+            continue
         if len(rows) <= codes_module.LOW_ROWS:
             break
         _, lifts, rows = _split(k, n, rows, 1 << j)
@@ -457,7 +459,8 @@ def test_kernel_pairs_match_the_walk_above_one_block(k):
     for span in spans:
         assert_kernel_pairs_match_the_walk(k, span.n, list(span.basis))
         _, lifts, kernel = residue_split(k, span.n, span.basis)
-        assert not lifts and kernel_levels(k, span.n, kernel)[1]  # split at least once
+        levels = kernel_levels(k, span.n, kernel)[1]
+        assert not lifts and (levels if k > 1 else not levels)  # split at least once above R_1
         assert hom_counts(k, span.n, span.basis) == walked_hom_counts(k, span.n, span.basis)
 
 
@@ -507,7 +510,7 @@ def test_kernel_pairs_on_every_fixture_row(monkeypatch):
             span.k, span.n, span.basis
         ), row.generator
         _, _, kernel = residue_split(span.k, span.n, span.basis)
-        assert len(kernel_levels(span.k, span.n, kernel)[1]) == span.k
+        assert len(kernel_levels(span.k, span.n, kernel)[1]) == (span.k if span.k > 1 else 0)
         assert_kernel_pairs_match_the_walk(span.k, span.n, kernel)
 
 

@@ -14,13 +14,17 @@ the tests only, so a kernel that imports one would break a plain install.
 Error messages reach CLI users as "error: ..." lines, so the literal text
 of a raise X(...) message may not name a snake_case or CONSTANT_CASE
 identifier (any word with an underscore); ring names such as R_1 or R_{k}
-are the paper's notation and stay allowed.
+are the paper's notation and stay allowed.  Importing the package, its
+analysis module or its CLI loads no process pool: only search with more
+than one job needs multiprocessing, so search imports it.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -110,6 +114,17 @@ def test_guard_finds_unused_imports():
 
 def test_modules_found():
     assert {"codes.py", "graymap.py", "polyqt.py"} <= {p.name for p in MODULES}
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # only search with jobs > 1 starts a pool; multiprocessing was about a third of import time
+    script = (
+        "import sys, rkcodes, rkcodes.analysis, rkcodes.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SOURCE_DIR.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
