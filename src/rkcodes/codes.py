@@ -51,6 +51,7 @@ from rkcodes.gf2 import (
     min_weight,
     popcounts,
     rotate_bits,
+    self_orthogonal,
     span_counts,
     span_iter,
     span_min_weight,
@@ -371,12 +372,7 @@ class BinaryCode:
         return min_weight(self.rows)
 
     def is_self_orthogonal(self) -> bool:
-        rows = self.rows
-        return all(
-            ((rows[i] & rows[j]).bit_count() & 1) == 0
-            for i in range(len(rows))
-            for j in range(i, len(rows))
-        )
+        return self_orthogonal(self.rows)
 
     def is_self_dual(self) -> bool:
         return 2 * self.rank == self.length and self.is_self_orthogonal()

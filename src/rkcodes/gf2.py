@@ -180,6 +180,27 @@ class _SubsetXors:
         return self._sizes[size]
 
 
+def self_orthogonal(rows: Sequence[int]) -> bool:
+    """True iff every row has even weight and every pair of rows an even AND."""
+    return all(
+        (rows[i] & rows[j]).bit_count() & 1 == 0
+        for i in range(len(rows))
+        for j in range(i, len(rows))
+    )
+
+
+def weight_divisor(basis: Sequence[int]) -> int:
+    """The largest D in (1, 2, 4) that divides every weight in the span of basis.
+
+    wt(x ^ y) = wt(x) + wt(y) - 2*wt(x & y): even rows span an even code,
+    and rows of weight 0 mod 4 with pairwise even ANDs a doubly-even one.
+    """
+    weights = [row.bit_count() for row in basis]
+    if any(w & 1 for w in weights):
+        return 1
+    return 4 if not any(w & 3 for w in weights) and self_orthogonal(basis) else 2
+
+
 LEVEL_COST = 256  # measured: a basis's pass over a level beyond its combinations, in walk words
 
 
@@ -193,8 +214,10 @@ def info_set_min_weight(basis: Sequence[int]) -> int:
     A word is a combination of some w_j rows of basis j and has w_j ones on
     set j.  Level w of a basis is every combination of w of its rows; once
     all bases have weighed level w - 1 and j of them level w, each word not
-    yet seen weighs at least j*(w+1) + (t-j)*w = t*w + j, and the search
-    stops when that reaches the smallest weight seen.
+    yet seen weighs at least j*(w+1) + (t-j)*w = t*w + j.  Every weight of
+    the span is a multiple of D = weight_divisor(basis), so the search stops
+    when t*w + j, rounded up to a multiple of D, reaches the smallest weight
+    seen.
 
     Level w is weighed without being stored: each basis is split into two
     halves, and the XORs of each half's subsets, grouped by size (at most
@@ -215,14 +238,15 @@ def info_set_min_weight(basis: Sequence[int]) -> int:
         columns &= ~found[1]
     t = len(sets)
     best = min(map(int.bit_count, chain(basis, *sets)))  # level 1: each row alone
-    passes = range(best - 2 * t)  # pass i weighs level 2 + i // t of basis i % t
+    divisor = weight_divisor(basis)  # of best too: stop once t*w + j > best - divisor
+    passes = range(best - divisor + 1 - 2 * t)  # pass i weighs level 2 + i // t of basis i % t
     if sum(comb(rank, 2 + i // t) + LEVEL_COST for i in passes) > 1 << rank:
         return span_min_weight(basis)
     half = (rank + 1) // 2
     halves = [(_SubsetXors(rows[:half]), _SubsetXors(rows[half:])) for rows in sets]
     for w in range(2, rank + 1):
         for j, (low, high) in enumerate(halves):
-            if t * w + j >= best:
+            if t * w + j > best - divisor:
                 return best
             for a in range(max(0, w - (rank - half)), min(half, w) + 1):
                 small, large = sorted((low[a], high[w - a]), key=len)

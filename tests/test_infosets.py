@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
 from rkcodes import gf2
 from rkcodes.analysis import build_row_code, load_table_rows
-from rkcodes.codes import QTCode, binary_image, code_span
+from rkcodes.codes import (
+    QTCode,
+    binary_image,
+    binary_image_of_span,
+    code_span,
+    module_span,
+    spanning_rows,
+)
 from rkcodes.gf2 import (
     LOW_ROWS,
     F2Span,
@@ -28,6 +36,7 @@ from rkcodes.gf2 import (
     span_counts,
     span_iter,
     span_min_weight,
+    weight_divisor,
 )
 from rkcodes.ring import RingElement, units
 
@@ -140,9 +149,11 @@ def test_info_set_min_weight_matches_walk_at_ranks_15_to_20(monkeypatch):
     for basis, d in zip(bases, distances):
         walked = len(walks)
         assert info_set_min_weight(basis) == d, basis
-        t = set_count(basis)
-        # a search stops once t*w + j >= d, after j < t bases have weighed level w
-        inside_a_level += len(walks) == walked and d % t != 0 and d > 2 * t
+        t, stop = set_count(basis), d - weight_divisor(basis) + 1
+        # a search stops once t*w + j, rounded up to a multiple of the weight
+        # divisor D, reaches d, that is once t*w + j >= d - D + 1, after j < t
+        # bases have weighed level w
+        inside_a_level += len(walks) == walked and stop % t != 0 and stop > 2 * t
     assert inside_a_level >= 8
     assert len(walks) <= len(bases) // 4
 
@@ -162,15 +173,108 @@ def test_info_sets_reach_d_of_an_80_17_24_image_without_a_walk(monkeypatch):
     assert walks == []
 
 
-@pytest.mark.parametrize("generator", ["uuuu11|uuu103|u1u311", "uuu1013|uu01033|uu11101"])
-def test_rank_11_fixture_images_still_walk(monkeypatch, generator):
-    # 2^11 words walk cheaper than the passes their 3 sets would need
+def rank_11_fixture_walks(monkeypatch, generator: str, divisor: int) -> list[int]:
+    """Ranks walked while info_set_min_weight finds d of a rank-11 fixture image."""
     (row,) = [row for row in load_table_rows() if row.generator == generator]
     img = binary_image(build_row_code(row))
     assert img.rank == 11 and set_count(img.rows) == 3
+    assert weight_divisor(img.rows) == divisor
     walks = counted_walks(monkeypatch)
     assert info_set_min_weight(img.rows) == row.d
-    assert walks == [11]
+    return walks
+
+
+def test_rank_11_even_fixture_image_reaches_d_without_a_walk(monkeypatch):
+    # d = 12, D = 2: the stop t*w + j >= 11 leaves 5 passes, about 1,775 walk
+    # words, under the 2^11 of the walk
+    assert rank_11_fixture_walks(monkeypatch, "uuuu11|uuu103|u1u311", 2) == []
+
+
+@pytest.mark.parametrize("generator", ["uuu1013|uu01033|uu11101"])
+def test_rank_11_fixture_images_still_walk(monkeypatch, generator):
+    # d = 16, D = 4: the stop t*w + j >= 13 leaves 7 passes, about 2,782 walk
+    # words, over the 2^11 of the walk
+    assert rank_11_fixture_walks(monkeypatch, generator, 4) == [11]
+
+
+def even_basis(rng: random.Random, rank: int) -> tuple[int, ...]:
+    """Basis of a random even code of the given rank and length 2-3 times it."""
+    length = rng.randint(2 * rank, 3 * rank)
+    span = F2Span()
+    while span.rank < rank:
+        v = rng.getrandbits(length)
+        span.add(v ^ (v.bit_count() & 1))  # bit 0 evens the weight
+    return span.basis()
+
+
+def self_orthogonal_r1_images(rng: random.Random, count: int, ranks: range) -> list:
+    """Bases of self-orthogonal Gray images of random R_1-modules with a rank in ranks.
+
+    Each module is a direct sum of fixture codes over R_1 with self-orthogonal
+    images, its coordinates permuted and scaled by random units.  The image's
+    inner product of x and y sums, over coordinates i, a function of x_i*y_i,
+    and a unit u scales x_i*y_i by u^2 = 1, so neither moves it.
+    """
+    pieces = [
+        spanning_rows(code)
+        for code in (build_row_code(row) for row in load_table_rows() if row.k == 1)
+        if binary_image(code).is_self_orthogonal()
+    ]
+    zero, unit_list = RingElement(1, 0), list(units(1))
+    out = []
+    while len(out) < count:
+        chosen = [rng.choice(pieces) for _ in range(rng.randint(2, 4))]
+        n = sum(len(piece[0]) for piece in chosen)
+        rows, at = [], 0
+        for piece in chosen:
+            width = len(piece[0])
+            rows += [(zero,) * at + row + (zero,) * (n - at - width) for row in piece]
+            at += width
+        order = rng.sample(range(n), n)
+        scale = [rng.choice(unit_list) for _ in range(n)]
+        rows = [tuple(scale[j] * row[order[j]] for j in range(n)) for row in rows]
+        img = binary_image_of_span(module_span(rows))
+        if img.rank in ranks:
+            assert img.is_self_orthogonal()
+            out.append(img.rows)
+    return out
+
+
+def test_info_set_min_weight_matches_walk_on_divisible_codes():
+    # ranks 11..20: random even codes, R_1 images (self-orthogonal and not)
+    # and R_2 images; between them they read every divisor 1, 2 and 4
+    rng = random.Random(1118)
+    ranks = range(LOW_ROWS + 1, 21)
+    bases = [even_basis(rng, rank) for rank in ranks for _ in range(2)]
+    bases += [binary_image(code).rows for code in random_qt_codes(rng, 1, 12, ranks)]
+    bases += self_orthogonal_r1_images(rng, 8, ranks)
+    bases += [binary_image(code).rows for code in random_qt_codes(rng, 2, 12, ranks)]
+    assert {weight_divisor(basis) for basis in bases} == {1, 2, 4}
+    for basis in bases:
+        assert info_set_min_weight(basis) == span_min_weight(basis), basis
+
+
+def test_weight_divisor_divides_every_weight_of_the_span():
+    rng = random.Random(1119)
+    ranks = range(1, 13)
+    bases = [even_basis(rng, rank) for rank in ranks]
+    bases += [pooled_basis(rng, rank) for rank in ranks]
+    bases += self_orthogonal_r1_images(rng, 6, ranks)
+    for k in (1, 2, 3):
+        bases += [binary_image(code).rows for code in random_qt_codes(rng, k, 12, ranks)]
+    bases += [binary_image(build_row_code(row)).rows for row in load_table_rows()]
+    for basis in bases:
+        weights = {w.bit_count() for w in span_iter(basis)}
+        # the largest of 1, 2, 4 that divides them all
+        assert weight_divisor(basis) == gcd(4, *weights), basis
+
+
+def test_weight_divisor_reads_4_2_and_1():
+    r2_codes = random_qt_codes(random.Random(1120), 2, 30, range(1, 21))
+    assert {weight_divisor(binary_image(code).rows) for code in r2_codes} == {4}
+    assert weight_divisor((0b1111, 0b110000)) == 2  # even, not doubly even
+    assert weight_divisor((0b1111, 0b1111000)) == 2  # doubly-even rows, odd AND
+    assert weight_divisor((0b11, 0b1100, 0b10000)) == 1  # an odd row
 
 
 @pytest.mark.parametrize("rank", [0, 1, LOW_ROWS, LOW_ROWS + 2])
