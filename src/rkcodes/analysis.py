@@ -27,9 +27,8 @@ from rkcodes.codes import (
     flatten_vec,
     generator_rows,
     grade_scaled,
-    hom_minima,
+    hom_split,
     qc_index,
-    residue_split,
     unflatten_vec,
 )
 from rkcodes.gf2 import F2Span, min_weight
@@ -166,10 +165,10 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     """
     span = code_span(code)
     _check_budget(span.rank, budget)
-    k, n = span.k, span.n
-    g = gamma(k)
-    residues, lifts, kernel = residue_split(k, n, span.basis)  # a code span is a module
-    d_kernel, d_nonkernel = hom_minima(k, n, lifts, kernel)
+    g = gamma(span.k)
+    residues, inside, outside = hom_split(span.k, span.n, span.basis)  # a code span is a module
+    d_kernel = min((w for w in inside if w), default=None)
+    d_nonkernel = min(outside, default=None)
     d_hom = min((d for d in (d_kernel, d_nonkernel) if d is not None), default=None)
     d_res = min_weight(residues) if residues else None  # independent rows, rank <= span.rank
     lower = g * d_res if d_res is not None else None

@@ -19,13 +19,14 @@ kind, and the span of the mapped rows is weighed by int.bit_count like a
 binary image.  The weight is invariant under the unit group U, and only
 the unit 1 fixes a word outside the residue kernel.  So an R_k-module is
 weighed as its residue kernel plus one word of each unit orbit outside
-it, each counted |U| times, and hom_minima walks the same words for
-minima only.  Inside the kernel the units 1 + u_j fix more words, so
-hom_counts weighs it one word per pair y, (1+u_j)*y of distinct words,
-counted twice, plus the words every u_j kills.  Both are one split,
-_split at y -> u_A*y: u_top*y is y's residue word on the top bit of each
-coordinate, so the residue split (residue_split) is the split at u_top,
-and each kernel level the split at u_j.
+it, each counted |U| times.  Inside the kernel the units 1 + u_j fix more
+words, so the kernel is weighed one word per pair y, (1+u_j)*y of
+distinct words, counted twice, plus the words every u_j kills.  Both are
+one split, _split at y -> u_A*y: u_top*y is y's residue word on the top
+bit of each coordinate, so the residue split (residue_split) is the split
+at u_top, and each kernel level the split at u_j.  hom_split keeps the
+kernel's counts apart from the rest, so one pass gives both the weight
+distribution and the two minima that bound_check compares.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -54,7 +55,6 @@ from rkcodes.gf2 import (
     self_orthogonal,
     span_counts,
     span_iter,
-    span_min_weight,
 )
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import (
@@ -445,18 +445,16 @@ def binary_image(code: QTCode) -> BinaryCode:
     return binary_image_of_span(code_span(code))
 
 
-def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
-    """(image, weigh, least) under which a flat word weighs its homogeneous weight.
+def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
+    """(image, weigh) under which a flat word weighs its homogeneous weight.
 
     For k <= K_MAX image maps rows through ring.character_table (see the
-    module docstring), words weigh their popcount and least, the smallest
-    nonzero weight of a span, is gf2.min_weight; wider rows stay as they
-    are, words are weighed one RingElement at a time and least walks.
+    module docstring) and words weigh their popcount; wider rows stay as
+    they are, and words are weighed one RingElement at a time.
     """
     if k <= K_MAX:
-        return partial(_map_coordinates, k, n, character=True), popcounts, min_weight
-    weigh = partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
-    return list, weigh, partial(span_min_weight, weigh=weigh)
+        return partial(_map_coordinates, k, n, character=True), popcounts
+    return list, partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
 
 
 def _split(
@@ -534,59 +532,59 @@ def _is_module(k: int, n: int, basis: Sequence[int]) -> bool:
     return all((row & mask) << a in span for a, mask in gens for row in basis)
 
 
+@lru_cache(maxsize=1)
+def hom_split(k: int, n: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], Counter, Counter]:
+    """(residues, inside, outside) for the R_k-module spanned by the flat words of basis.
+
+    residues is the residue code's RREF basis as residue_split gives it;
+    inside maps homogeneous weight -> count over the residue kernel, zero
+    word included, and outside over the other words.  outside weighs one
+    word of each unit orbit, counted |U| times; inside splits the kernel at
+    each u_j but u_top, one word of each pair y, (1+u_j)*y counted twice,
+    while the rows left exceed one block, and walks the rows left.  With b
+    the kernel's rank and f that of the rows left, that is
+    (2^rank - 2^b)/|U| + (2^b + 2^f)/2 words instead of 2^rank.
+    hom_weight_enumerator and bound_check read the same code's split in
+    turn, so the last one is kept; callers must not change it.
+    """
+    image, weigh = _hom_view(k, n)
+    top = (1 << k) - 1
+    residues, lifts, rows = residue_split(k, n, basis)
+    kernel = image(rows)
+    inside, outside = Counter(), Counter()
+    for start, coset in _cosets(image(lifts), kernel, top):
+        outside.update({w: c << top for w, c in span_counts(coset, weigh, start).items()})
+    for a in (1 << j for j in range(k) if 1 << j != top):  # at k = 1, u_1 is u_top
+        if len(rows) <= LOW_ROWS:
+            break
+        _, lifts, rows = _split(k, n, rows, a)
+        kernel = image(rows)
+        for start, coset in _cosets(image(lifts), kernel, 1):
+            inside.update({w: 2 * c for w, c in span_counts(coset, weigh, start).items()})
+    inside.update(span_counts(kernel, weigh))
+    return tuple(residues), inside, outside
+
+
 def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
     """Homogeneous weight -> count over the F2-span of flat length-n words over R_k.
 
-    The homogeneous weight is invariant under the unit group U.  An
-    R_k-module of more than one block is split at u_top (group 2^k - 1),
-    then its kernel at each u_j other than u_top (group 1; at k = 1, u_1
-    is u_top), each level by _split while the rows left exceed one block.
-    Each level weighs its cosets, one word of each unit orbit outside the
-    residue kernel at u_top and one word of each pair y, (1+u_j)*y at u_j,
-    and counts every word 2^group times; the rows left at the end are
-    walked.  With b the residue kernel's rank and f that of the rows left,
-    that is (2^rank - 2^b)/|U| + (2^b + 2^f)/2 words instead of 2^rank.
-    Other spans are walked word by word.
+    The homogeneous weight is invariant under the unit group U, so an
+    R_k-module of more than one block is weighed by orbits, as the sum of
+    hom_split's two counts.  Other spans are walked word by word.
     """
-    image, weigh, _ = _hom_view(k, n)
-    counts: Counter = Counter()
-    rows = basis
-    if len(rows) > LOW_ROWS and _is_module(k, n, rows):
-        top = (1 << k) - 1
-        for a, group in [(top, top)] + [(1 << j, 1) for j in range(k) if 1 << j != top]:
-            if len(rows) <= LOW_ROWS:
-                break
-            _, lifts, rows = _split(k, n, rows, a)
-            for start, coset in _cosets(image(lifts), image(rows), group):
-                counts.update({w: c << group for w, c in span_counts(coset, weigh, start).items()})
-    counts.update(span_counts(image(rows), weigh))
-    return counts
-
-
-def hom_minima(
-    k: int, n: int, lifts: list[int], kernel: list[int]
-) -> tuple[int | None, int | None]:
-    """Smallest homogeneous weight of a nonzero word inside the residue kernel, and outside it.
-
-    lifts and kernel as residue_split gives them for an R_k-module; None
-    stands for no word.  The kernel's minimum is the least of _hom_view on
-    its image, and the other comes from a min-only walk of the cosets of
-    _cosets(lifts, kernel, 2^k - 1): one word of each unit orbit outside
-    the kernel, and the weight is invariant under the unit group.
-    """
-    image, weigh, least = _hom_view(k, n)
-    lifts, kernel = image(lifts), image(kernel)
-    d_kernel = least(kernel) if kernel else None
-    cosets = _cosets(lifts, kernel, (1 << k) - 1)
-    d_nonkernel = min((span_min_weight(rows, weigh, start) for start, rows in cosets), default=None)
-    return d_kernel, d_nonkernel
+    if len(basis) > LOW_ROWS and _is_module(k, n, basis):
+        _, inside, outside = hom_split(k, n, tuple(basis))
+        return inside + outside
+    image, weigh = _hom_view(k, n)
+    return span_counts(image(basis), weigh)
 
 
 def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
     """Homogeneous weight distribution, computed on the ring side."""
     span = code_span(code)
     _check_budget(span.rank, budget)
-    return WeightEnumerator(hom_counts(span.k, span.n, span.basis))
+    _, inside, outside = hom_split(span.k, span.n, span.basis)  # a code span is a module
+    return WeightEnumerator(inside + outside)
 
 
 def residue_word(flat: int, k: int, n: int) -> int:

@@ -24,7 +24,7 @@ from rkcodes.codes import (
     code_span,
     flatten_vec,
     hom_counts,
-    hom_minima,
+    hom_split,
     hom_weight_enumerator,
     module_span,
     residue_code,
@@ -217,15 +217,30 @@ IDEAL_GENERATORS = {
 SMALL_IDEAL_GENERATORS = {1: "u1,u1", 2: "u1,u2", 3: "u1u2,u3"}
 
 
-def walked_minima(k: int, n: int, basis, kernel) -> tuple[int | None, int | None]:
-    """Least nonzero weight inside the kernel and least weight outside it, every word weighed."""
-    inside = walked_hom_counts(k, n, kernel)
-    outside = walked_hom_counts(k, n, basis) - inside
+def split_minima(inside: Counter, outside: Counter) -> tuple[int | None, int | None]:
+    """Least nonzero weight inside the kernel and least weight outside it, as bound_check reads."""
     return min((w for w in inside if w), default=None), min(outside, default=None)
 
 
+def walked_minima(k: int, n: int, basis, kernel) -> tuple[int | None, int | None]:
+    """split_minima of every word weighed."""
+    inside = walked_hom_counts(k, n, kernel)
+    return split_minima(inside, walked_hom_counts(k, n, basis) - inside)
+
+
+def assert_hom_split_matches_the_walk(k: int, n: int, basis) -> tuple[int | None, int | None]:
+    """hom_split against residue_split and every word weighed; returns its two minima."""
+    residues, _, kernel = residue_split(k, n, basis)
+    split_residues, inside, outside = hom_split(k, n, tuple(basis))
+    assert list(split_residues) == residues
+    assert inside == walked_hom_counts(k, n, kernel)
+    assert outside == walked_hom_counts(k, n, basis) - inside
+    assert split_minima(inside, outside) == walked_minima(k, n, basis, kernel)
+    return split_minima(inside, outside)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_hom_minima_match_the_walk(k):
+def test_hom_split_matches_the_walk(k):
     codes = random_codes(20 + k, 15, ks=(k,), max_rank=18, min_rank=LOW_ROWS + 1)
     codes.append(QTCode.from_strings(k, [IDEAL_GENERATORS[k]], notation="generic"))
     codes += random_codes(30 + k, 15, ks=(k,), max_rank=LOW_ROWS, min_rank=1)
@@ -233,24 +248,22 @@ def test_hom_minima_match_the_walk(k):
     codes.append(small_ideal)
     for code in codes:
         span = code_span(code)
-        _, lifts, kernel = residue_split(k, span.n, span.basis)
-        expected = walked_minima(k, span.n, span.basis, kernel)
-        assert hom_minima(k, span.n, lifts, kernel) == expected, code
+        d_kernel, d_nonkernel = assert_hom_split_matches_the_walk(k, span.n, span.basis)
         if code is small_ideal:
-            assert not lifts and 0 < span.rank <= LOW_ROWS
-            assert expected[1] is None
+            assert not residue_split(k, span.n, span.basis)[1] and 0 < span.rank <= LOW_ROWS
+            assert d_nonkernel is None
     # empty kernels: the zero span, and the F2 span of one word with a unit coordinate
-    assert hom_minima(k, 2, [], []) == (None, None)
-    assert hom_minima(k, 2, [1], []) == walked_minima(k, 2, [1], []) == (None, gamma(k))
+    assert hom_split(k, 2, ()) == ((), Counter({0: 1}), Counter())
+    _, inside, outside = hom_split(k, 2, (1,))  # no module: only its least weights hold
+    assert split_minima(inside, outside) == walked_minima(k, 2, [1], []) == (None, gamma(k))
 
 
-def test_hom_minima_when_one_kernel_row_holds_the_minimum():
+def test_hom_split_when_one_kernel_row_holds_the_minimum():
     # free over R_1, so the kernel is u * (residue code): its one lightest word is u * row 0
     rows = [0b11] + [0b1111 << (2 + 4 * i) for i in range(5)]
     span = module_span([tuple(RingElement(1, r >> c & 1) for c in range(22)) for r in rows])
-    _, lifts, kernel = residue_split(1, 22, span.basis)
     assert span.rank > LOW_ROWS
-    assert hom_minima(1, 22, lifts, kernel) == (4, 2)
+    assert assert_hom_split_matches_the_walk(1, 22, span.basis) == (4, 2)
 
 
 def random_module_spans(seed: int, count: int, k: int, min_rank: int, max_rank: int):
@@ -284,7 +297,7 @@ def assert_orbit_split_matches_the_walk(span) -> None:
     walked = walked_hom_counts(k, n, basis)
     assert orbit_split_counts(k, n, basis) == walked
     assert hom_counts(k, n, basis) == walked
-    assert hom_minima(k, n, lifts, kernel) == walked_minima(k, n, basis, kernel)
+    assert_hom_split_matches_the_walk(k, n, basis)
     # each coset starts at a word with coordinate 1 at its pivot p_i, and E_i is zero there
     size, words = unit_count(k), 1 << len(kernel)
     for residue, (start, rows) in zip(residues, _cosets(lifts, kernel, (1 << k) - 1)):
@@ -579,3 +592,46 @@ def test_bound_check_matches_per_word_loop_on_135_counterexample():
     report = bound_check(code)
     assert report == oracle_bound_check(code)
     assert report["lemma_lower_holds"] is False and report["ok"] is True
+
+
+def codes_past_k_max(seed: int, count: int) -> list[QTCode]:
+    """Random one-block codes over R_4, each entry a random element times a random monomial."""
+    rng = random.Random(seed)
+    out = [
+        QTCode.from_strings(4, ["1+u1|u2u3"], notation="generic"),
+        QTCode.from_strings(4, ["u1u2,u3u4+u1u2u3u4"], lam="1+u1", notation="generic"),
+    ]
+    while len(out) < count:
+        m = rng.randint(1, 2)
+        block = tuple(
+            RingElement(4, rng.getrandbits(16))
+            * monomial(4, [j for j in range(1, 5) if rng.random() < 0.5])
+            for _ in range(m)
+        )
+        out.append(QTCode(rng.choice(list(units(4))), 1, m, ((block,),)))
+    return out
+
+
+def test_bound_check_and_enumerator_agree_in_any_order_and_cache_state():
+    # both read hom_split's kept split: neither the call order nor what the cache holds may matter
+    codes = [build_row_code(row) for row in load_table_rows()]
+    assert len(codes) == 45
+    for k in (1, 2, 3):
+        codes += random_codes(110 + k, 8, ks=(k,), max_rank=16)
+    codes += codes_past_k_max(114, 8)
+    other = QTCode.from_strings(2, ["a7728|92452"])
+    for code in codes:
+        hom_split.cache_clear()
+        hom = hom_weight_enumerator(code)
+        bounds = bound_check(code)
+        assert hom.total() == 1 << code_span(code).rank
+        assert bounds["hom_distance"] == hom.min_nonzero(), code
+        hom_split.cache_clear()
+        assert bound_check(code) == bounds and hom_weight_enumerator(code) == hom, code
+        assert hom_weight_enumerator(code) == hom and bound_check(code) == bounds, code
+        hom_weight_enumerator(other)
+        assert bound_check(code) == bounds, code
+        bound_check(other)
+        assert hom_weight_enumerator(code) == hom, code
+        hom_split.cache_clear()
+        assert hom_weight_enumerator(code) == hom, code

@@ -5,6 +5,12 @@ the traced benchmark run (python3 perfbench/run.py --trace 1).  Deleting
 or renaming one of them breaks that run alone, which no other test of the
 package runs; attaching a fresh tracer here, which patches every target and
 puts the originals back, fails on it instead.
+
+The traced run also checks that two traced runs of pass 0 count the same
+work.  A cache that lets a traced pass reuse work done by the untraced
+pass before it, or by the untimed drawing of its inputs, breaks that
+check.  The same sequence runs here on the two workloads that read
+hom_split, and again after pass 1 and after clearing hom_split's cache.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from rkcodes import analysis
+from rkcodes import analysis, codes
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +47,28 @@ def test_guard_finds_a_missing_patch_target(trace, monkeypatch):
             trace.install(tracer)
     finally:
         tracer.restore()
+
+
+@pytest.mark.parametrize("name", ["enumerate", "tables"])
+def test_traced_counts_do_not_depend_on_what_ran_before(trace, name):
+    from perfbench.calibrate import Clock
+    from perfbench.workloads import WORKLOADS, Checks
+
+    workload, clock, checks = WORKLOADS[name], Clock(), Checks()
+
+    def traced(inputs) -> dict:
+        tracer = trace.Tracer()
+        with tracer.attached():
+            result = workload.run(inputs, clock)
+        workload.check(inputs, result, checks)
+        return tracer.count_snapshot()
+
+    inputs = workload.inputs(7, 0)
+    workload.run(inputs, clock)  # untraced, then traced twice, as the traced run does
+    counts = traced(inputs)
+    assert traced(workload.inputs(7, 0)) == counts
+    workload.run(workload.inputs(7, 1), clock)
+    assert traced(workload.inputs(7, 0)) == counts
+    codes.hom_split.cache_clear()
+    assert traced(workload.inputs(7, 0)) == counts
+    assert checks.attempted and not checks.failed, checks.messages
