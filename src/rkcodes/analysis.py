@@ -27,7 +27,7 @@ from rkcodes.codes import (
     flatten_vec,
     generator_rows,
     grade_scaled,
-    hom_split,
+    hom_minima,
     qc_index,
     unflatten_vec,
 )
@@ -166,9 +166,7 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     span = code_span(code)
     _check_budget(span.rank, budget)
     g = gamma(span.k)
-    residues, inside, outside = hom_split(span.k, span.n, span.basis)  # a code span is a module
-    d_kernel = min((w for w in inside if w), default=None)
-    d_nonkernel = min(outside, default=None)
+    residues, d_kernel, d_nonkernel = hom_minima(span.k, span.n, span.basis)  # a module
     d_hom = min((d for d in (d_kernel, d_nonkernel) if d is not None), default=None)
     d_res = min_weight(residues) if residues else None  # independent rows, rank <= span.rank
     lower = g * d_res if d_res is not None else None

@@ -19,14 +19,13 @@ kind, and the span of the mapped rows is weighed by int.bit_count like a
 binary image.  The weight is invariant under the unit group U, and only
 the unit 1 fixes a word outside the residue kernel.  So an R_k-module is
 weighed as its residue kernel plus one word of each unit orbit outside
-it, each counted |U| times.  Inside the kernel the units 1 + u_j fix more
-words, so the kernel is weighed one word per pair y, (1+u_j)*y of
-distinct words, counted twice, plus the words every u_j kills.  Both are
-one split, _split at y -> u_A*y: u_top*y is y's residue word on the top
-bit of each coordinate, so the residue split (residue_split) is the split
-at u_top, and each kernel level the split at u_j.  hom_split keeps the
-kernel's counts apart from the rest, so one pass gives both the weight
-distribution and the two minima that bound_check compares.
+it, each counted |U| times (hom_split; hom_minima walks the same words
+for minima only).  Inside the kernel the units 1 + u_j fix more words,
+so it is weighed one word per pair y, (1+u_j)*y of distinct words,
+counted twice, plus the words every u_j kills.  Both are one split,
+_split at y -> u_A*y: u_top*y is y's residue word on the top bit of each
+coordinate, so the residue split (residue_split) is the split at u_top,
+and each kernel level the split at u_j.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -44,6 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import islice
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import (
@@ -55,6 +55,7 @@ from rkcodes.gf2 import (
     self_orthogonal,
     span_counts,
     span_iter,
+    span_min_weight,
 )
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import (
@@ -445,16 +446,18 @@ def binary_image(code: QTCode) -> BinaryCode:
     return binary_image_of_span(code_span(code))
 
 
-def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
-    """(image, weigh) under which a flat word weighs its homogeneous weight.
+def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
+    """(image, weigh, least) under which a flat word weighs its homogeneous weight.
 
     For k <= K_MAX image maps rows through ring.character_table (see the
-    module docstring) and words weigh their popcount; wider rows stay as
-    they are, and words are weighed one RingElement at a time.
+    module docstring), words weigh their popcount and least, the smallest
+    nonzero weight of a span, is gf2.min_weight; wider rows stay as they
+    are, words are weighed one RingElement at a time and least walks.
     """
     if k <= K_MAX:
-        return partial(_map_coordinates, k, n, character=True), popcounts
-    return list, partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
+        return partial(_map_coordinates, k, n, character=True), popcounts, min_weight
+    weigh = partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
+    return list, weigh, partial(span_min_weight, weigh=weigh)
 
 
 def _split(
@@ -524,30 +527,23 @@ def _cosets(
         yield start, lifts[:i] + rows[: i * group] + rows[(i + 1) * group:]
 
 
-def _is_module(k: int, n: int, basis: Sequence[int]) -> bool:
-    """True iff the F2-span of flat words is closed under u_1, ..., u_k: an R_k-module."""
-    span = F2Span(basis)
-    masks = _monomial_masks(k, n)
-    gens = [masks[1 << j] for j in range(k)]  # (A, M_A) of u_1, ..., u_k
-    return all((row & mask) << a in span for a, mask in gens for row in basis)
+_kept_split: dict[tuple, tuple] = {}  # hom_split of the last code: (k, n, basis) -> split
 
 
-@lru_cache(maxsize=1)
-def hom_split(k: int, n: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], Counter, Counter]:
+def hom_split(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], Mapping, Mapping]:
     """(residues, inside, outside) for the R_k-module spanned by the flat words of basis.
 
-    residues is the residue code's RREF basis as residue_split gives it;
-    inside maps homogeneous weight -> count over the residue kernel, zero
-    word included, and outside over the other words.  outside weighs one
-    word of each unit orbit, counted |U| times; inside splits the kernel at
-    each u_j but u_top, one word of each pair y, (1+u_j)*y counted twice,
-    while the rows left exceed one block, and walks the rows left.  With b
-    the kernel's rank and f that of the rows left, that is
-    (2^rank - 2^b)/|U| + (2^b + 2^f)/2 words instead of 2^rank.
-    hom_weight_enumerator and bound_check read the same code's split in
-    turn, so the last one is kept; callers must not change it.
+    residues is the residue code's RREF basis (residue_split).  inside
+    maps homogeneous weight -> count over the residue kernel, zero word
+    included, by pairs y, (1+u_j)*y at each u_j but u_top while the rows
+    left exceed one block, then a walk; outside counts the other words,
+    one per unit orbit.  That weighs (2^rank - 2^b)/|U| + (2^b + 2^f)/2
+    words, b and f the ranks of the kernel and of the rows left.  The
+    last code's split is kept, read-only, for hom_minima.
     """
-    image, weigh = _hom_view(k, n)
+    if (k, n, basis) in _kept_split:
+        return _kept_split[k, n, basis]
+    image, weigh, _ = _hom_view(k, n)
     top = (1 << k) - 1
     residues, lifts, rows = residue_split(k, n, basis)
     kernel = image(rows)
@@ -562,29 +558,38 @@ def hom_split(k: int, n: int, basis: tuple[int, ...]) -> tuple[tuple[int, ...], 
         for start, coset in _cosets(image(lifts), kernel, 1):
             inside.update({w: 2 * c for w, c in span_counts(coset, weigh, start).items()})
     inside.update(span_counts(kernel, weigh))
-    return tuple(residues), inside, outside
+    _kept_split.clear()
+    _kept_split[k, n, basis] = tuple(residues), MappingProxyType(inside), MappingProxyType(outside)
+    return _kept_split[k, n, basis]
 
 
-def hom_counts(k: int, n: int, basis: Sequence[int]) -> Counter:
-    """Homogeneous weight -> count over the F2-span of flat length-n words over R_k.
+def hom_minima(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], int | None, int | None]:
+    """(residues, d_kernel, d_nonkernel): hom_split's residues and the least nonzero weights.
 
-    The homogeneous weight is invariant under the unit group U, so an
-    R_k-module of more than one block is weighed by orbits, as the sum of
-    hom_split's two counts.  Other spans are walked word by word.
+    d_kernel is the least inside the residue kernel, d_nonkernel outside
+    it, None for no word: read from the split hom_split kept if it is this
+    module's, else by _hom_view's least on the kernel and a min-only walk.
     """
-    if len(basis) > LOW_ROWS and _is_module(k, n, basis):
-        _, inside, outside = hom_split(k, n, tuple(basis))
-        return inside + outside
-    image, weigh = _hom_view(k, n)
-    return span_counts(image(basis), weigh)
+    if (k, n, basis) in _kept_split:
+        residues, inside, outside = _kept_split[k, n, basis]
+        return residues, min((w for w in inside if w), default=None), min(outside, default=None)
+    image, weigh, least = _hom_view(k, n)
+    residues, lifts, kernel = residue_split(k, n, basis)
+    lifts, kernel = image(lifts), image(kernel)
+    cosets = _cosets(lifts, kernel, (1 << k) - 1)
+    d_nonkernel = min((span_min_weight(rows, weigh, start) for start, rows in cosets), default=None)
+    return tuple(residues), least(kernel) if kernel else None, d_nonkernel
 
 
 def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
     """Homogeneous weight distribution, computed on the ring side."""
     span = code_span(code)
     _check_budget(span.rank, budget)
+    if span.rank <= LOW_ROWS:  # one block: its walk costs less than a split
+        image, weigh, _ = _hom_view(span.k, span.n)
+        return WeightEnumerator(span_counts(image(span.basis), weigh))
     _, inside, outside = hom_split(span.k, span.n, span.basis)  # a code span is a module
-    return WeightEnumerator(inside + outside)
+    return WeightEnumerator({w: inside.get(w, 0) + outside.get(w, 0) for w in {*inside, *outside}})
 
 
 def residue_word(flat: int, k: int, n: int) -> int:

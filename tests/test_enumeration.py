@@ -17,13 +17,12 @@ from rkcodes.codes import (
     QTCode,
     WeightEnumerator,
     _cosets,
-    _is_module,
     _map_coordinates,
     _span_of_flat,
     _split,
     code_span,
     flatten_vec,
-    hom_counts,
+    hom_minima,
     hom_split,
     hom_weight_enumerator,
     module_span,
@@ -145,20 +144,38 @@ def walked_hom_counts(k: int, n: int, basis) -> Counter:
     return Counter(hom_weight_vec(unflatten_vec(flat, k, n)) for flat in span_iter(basis))
 
 
+def is_module(k: int, n: int, basis) -> bool:
+    """True iff the F2-span of flat words is closed under u_1, ..., u_k: an R_k-module."""
+    span = F2Span(basis)
+    gens = [monomial(k, [j]) for j in range(1, k + 1)]
+    return all(times(k, n, row, u) in span for u in gens for row in basis)
+
+
+def split_counts(k: int, n: int, basis) -> Counter:
+    """hom_split's two counts summed: the weight distribution, if the span is an R_k-module."""
+    _, inside, outside = hom_split(k, n, tuple(basis))
+    return Counter(inside) + Counter(outside)
+
+
+def hom_counts(k: int, n: int, basis) -> Counter:
+    """Homogeneous weight -> count over any F2-span: split_counts for a module, else walked."""
+    return split_counts(k, n, basis) if is_module(k, n, basis) else walked_hom_counts(k, n, basis)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_paired_hom_counts_match_the_walk_on_module_spans(k):
     codes = random_codes(10 + k, 12, ks=(k,), max_rank=20, min_rank=LOW_ROWS + 1)
     assert any(code.lam.coeffs != 1 for code in codes)
     for code in codes:
         span = code_span(code)
-        assert _is_module(span.k, span.n, span.basis)  # split by unit orbits
+        assert is_module(span.k, span.n, span.basis)  # split by unit orbits
         assert hom_counts(k, span.n, span.basis) == walked_hom_counts(k, span.n, span.basis), code
 
 
 def test_paired_hom_counts_past_k_max():
     code = QTCode.from_strings(4, ["u1u2,u3u4+u1u2u3u4"], lam="1+u1", notation="generic")
     span = code_span(code)
-    assert span.rank > LOW_ROWS and _is_module(4, span.n, span.basis)
+    assert span.rank > LOW_ROWS and is_module(4, span.n, span.basis)
     assert hom_counts(4, span.n, span.basis) == walked_hom_counts(4, span.n, span.basis)
 
 
@@ -175,8 +192,9 @@ def test_hom_counts_walks_spans_not_closed_under_u_top():
     tops = [times(k, n, r, top(k)) for r in lifts]
     basis = F2Span(lifts + [row for row in kernel if row not in tops]).basis()
     assert basis == (1, 2, 4, 16, 32, 64, 256, 512, 1024, 4096, 8192, 16384)
-    assert len(basis) > LOW_ROWS and not _is_module(k, n, basis)
+    assert len(basis) > LOW_ROWS and not is_module(k, n, basis)
     assert hom_counts(k, n, basis) == walked_hom_counts(k, n, basis)
+    assert split_counts(k, n, basis) != walked_hom_counts(k, n, basis)  # hom_split needs a module
 
 
 def orbit_split_counts(k: int, n: int, basis) -> Counter:
@@ -203,6 +221,7 @@ def test_hom_counts_walks_spans_closed_under_u_top_alone(k, n, words):
     walked = Counter(hom_weight_vec(unflatten_vec(flat, k, n)) for flat in span_iter(basis))
     assert hom_counts(k, n, basis) == walked
     assert orbit_split_counts(k, n, basis) != walked  # what a u_top-only check would have let in
+    assert split_counts(k, n, basis) != walked
 
 
 # codes of rank 12 inside the maximal ideal: every word in the residue kernel
@@ -228,19 +247,26 @@ def walked_minima(k: int, n: int, basis, kernel) -> tuple[int | None, int | None
     return split_minima(inside, walked_hom_counts(k, n, basis) - inside)
 
 
-def assert_hom_split_matches_the_walk(k: int, n: int, basis) -> tuple[int | None, int | None]:
-    """hom_split against residue_split and every word weighed; returns its two minima."""
+def assert_minima_match_the_walk(k: int, n: int, basis) -> tuple[int | None, int | None]:
+    """hom_split, and hom_minima before and after it, against every word weighed.
+
+    Returns the two minima.
+    """
     residues, _, kernel = residue_split(k, n, basis)
+    expected = walked_minima(k, n, basis, kernel)
+    codes_module._kept_split.clear()
+    assert hom_minima(k, n, tuple(basis)) == (tuple(residues), *expected)  # the min-only walk
     split_residues, inside, outside = hom_split(k, n, tuple(basis))
     assert list(split_residues) == residues
     assert inside == walked_hom_counts(k, n, kernel)
-    assert outside == walked_hom_counts(k, n, basis) - inside
-    assert split_minima(inside, outside) == walked_minima(k, n, basis, kernel)
-    return split_minima(inside, outside)
+    assert outside == walked_hom_counts(k, n, basis) - Counter(inside)
+    assert split_minima(inside, outside) == expected
+    assert hom_minima(k, n, tuple(basis)) == (split_residues, *expected)  # read from the split
+    return expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_hom_split_matches_the_walk(k):
+def test_hom_minima_match_the_walk(k):
     codes = random_codes(20 + k, 15, ks=(k,), max_rank=18, min_rank=LOW_ROWS + 1)
     codes.append(QTCode.from_strings(k, [IDEAL_GENERATORS[k]], notation="generic"))
     codes += random_codes(30 + k, 15, ks=(k,), max_rank=LOW_ROWS, min_rank=1)
@@ -248,22 +274,27 @@ def test_hom_split_matches_the_walk(k):
     codes.append(small_ideal)
     for code in codes:
         span = code_span(code)
-        d_kernel, d_nonkernel = assert_hom_split_matches_the_walk(k, span.n, span.basis)
+        d_kernel, d_nonkernel = assert_minima_match_the_walk(k, span.n, span.basis)
         if code is small_ideal:
             assert not residue_split(k, span.n, span.basis)[1] and 0 < span.rank <= LOW_ROWS
             assert d_nonkernel is None
     # empty kernels: the zero span, and the F2 span of one word with a unit coordinate
+    codes_module._kept_split.clear()
+    assert hom_minima(k, 2, ()) == ((), None, None)
     assert hom_split(k, 2, ()) == ((), Counter({0: 1}), Counter())
+    assert hom_minima(k, 2, ()) == ((), None, None)
+    codes_module._kept_split.clear()
+    assert hom_minima(k, 2, (1,))[1:] == walked_minima(k, 2, [1], []) == (None, gamma(k))
     _, inside, outside = hom_split(k, 2, (1,))  # no module: only its least weights hold
-    assert split_minima(inside, outside) == walked_minima(k, 2, [1], []) == (None, gamma(k))
+    assert split_minima(inside, outside) == (None, gamma(k))
 
 
-def test_hom_split_when_one_kernel_row_holds_the_minimum():
+def test_hom_minima_when_one_kernel_row_holds_the_minimum():
     # free over R_1, so the kernel is u * (residue code): its one lightest word is u * row 0
     rows = [0b11] + [0b1111 << (2 + 4 * i) for i in range(5)]
     span = module_span([tuple(RingElement(1, r >> c & 1) for c in range(22)) for r in rows])
     assert span.rank > LOW_ROWS
-    assert assert_hom_split_matches_the_walk(1, 22, span.basis) == (4, 2)
+    assert assert_minima_match_the_walk(1, 22, span.basis) == (4, 2)
 
 
 def random_module_spans(seed: int, count: int, k: int, min_rank: int, max_rank: int):
@@ -297,7 +328,7 @@ def assert_orbit_split_matches_the_walk(span) -> None:
     walked = walked_hom_counts(k, n, basis)
     assert orbit_split_counts(k, n, basis) == walked
     assert hom_counts(k, n, basis) == walked
-    assert_hom_split_matches_the_walk(k, n, basis)
+    assert_minima_match_the_walk(k, n, basis)
     # each coset starts at a word with coordinate 1 at its pivot p_i, and E_i is zero there
     size, words = unit_count(k), 1 << len(kernel)
     for residue, (start, rows) in zip(residues, _cosets(lifts, kernel, (1 << k) - 1)):
@@ -507,6 +538,7 @@ def test_hom_counts_splits_an_r1_module_once(monkeypatch):
     calls = []
     split = codes_module._split
     monkeypatch.setattr(codes_module, "_split", lambda *args: calls.append(args) or split(*args))
+    codes_module._kept_split.clear()
     counts = hom_counts(1, 12, span.basis)
     assert len(calls) == 1
     assert counts == walked_hom_counts(1, 12, span.basis)
@@ -613,25 +645,40 @@ def codes_past_k_max(seed: int, count: int) -> list[QTCode]:
 
 
 def test_bound_check_and_enumerator_agree_in_any_order_and_cache_state():
-    # both read hom_split's kept split: neither the call order nor what the cache holds may matter
+    # bound_check reads hom_split's kept split when it holds the code: neither may matter
     codes = [build_row_code(row) for row in load_table_rows()]
     assert len(codes) == 45
     for k in (1, 2, 3):
         codes += random_codes(110 + k, 8, ks=(k,), max_rank=16)
     codes += codes_past_k_max(114, 8)
+    ranks = {code_span(code).rank > LOW_ROWS for code in codes}
+    assert ranks == {False, True}  # one block is walked, and only larger spans keep a split
     other = QTCode.from_strings(2, ["a7728|92452"])
     for code in codes:
-        hom_split.cache_clear()
+        codes_module._kept_split.clear()
         hom = hom_weight_enumerator(code)
         bounds = bound_check(code)
         assert hom.total() == 1 << code_span(code).rank
         assert bounds["hom_distance"] == hom.min_nonzero(), code
-        hom_split.cache_clear()
+        codes_module._kept_split.clear()
         assert bound_check(code) == bounds and hom_weight_enumerator(code) == hom, code
         assert hom_weight_enumerator(code) == hom and bound_check(code) == bounds, code
         hom_weight_enumerator(other)
         assert bound_check(code) == bounds, code
         bound_check(other)
         assert hom_weight_enumerator(code) == hom, code
-        hom_split.cache_clear()
+        codes_module._kept_split.clear()
         assert hom_weight_enumerator(code) == hom, code
+
+
+def test_kept_split_is_read_only():
+    code = QTCode.from_strings(2, ["a7728|92452"])
+    span = code_span(code)
+    hom = hom_weight_enumerator(code)
+    _, inside, outside = hom_split(2, span.n, span.basis)
+    for counts in (inside, outside):
+        with pytest.raises(TypeError):
+            counts[0] = 1
+        with pytest.raises(AttributeError):
+            counts.update({0: 1})
+    assert hom_weight_enumerator(code) == hom

@@ -10,7 +10,7 @@ The traced run also checks that two traced runs of pass 0 count the same
 work.  A cache that lets a traced pass reuse work done by the untraced
 pass before it, or by the untimed drawing of its inputs, breaks that
 check.  The same sequence runs here on the two workloads that read
-hom_split, and again after pass 1 and after clearing hom_split's cache.
+hom_split, and again after pass 1 and after dropping hom_split's kept split.
 """
 
 from __future__ import annotations
@@ -69,6 +69,6 @@ def test_traced_counts_do_not_depend_on_what_ran_before(trace, name):
     assert traced(workload.inputs(7, 0)) == counts
     workload.run(workload.inputs(7, 1), clock)
     assert traced(workload.inputs(7, 0)) == counts
-    codes.hom_split.cache_clear()
+    codes._kept_split.clear()
     assert traced(workload.inputs(7, 0)) == counts
     assert checks.attempted and not checks.failed, checks.messages
