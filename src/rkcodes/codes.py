@@ -12,20 +12,19 @@ or 8 bits, so every byte of a flat word holds whole coordinates, and a row
 is mapped byte by byte through a 256-entry table built once per k.
 
 Homogeneous weights are taken on the ring side, independently of the Gray
-map, through the generating character chi: w(x) = #{u in U : chi(u*x) = -1}
-(ring.character_table).  That count is the popcount of an F2-linear image
-of x, so the basis rows are mapped once, through a byte table of the same
-kind, and the span of the mapped rows is weighed by int.bit_count like a
-binary image.  The weight is invariant under the unit group U, and only
-the unit 1 fixes a word outside the residue kernel.  So an R_k-module is
-weighed as its residue kernel plus one word of each unit orbit outside
-it, each counted |U| times (hom_split; hom_minima walks the same words
-for minima only).  Inside the kernel the units 1 + u_j fix more words,
-so it is weighed one word per pair y, (1+u_j)*y of distinct words,
-counted twice, plus the words every u_j kills.  Both are one split,
-_split at y -> u_A*y: u_top*y is y's residue word on the top bit of each
-coordinate, so the residue split (residue_split) is the split at u_top,
-and each kernel level the split at u_j.
+map: w(x) = #{u in U : chi(u*x) = -1} is the popcount of x's image under
+ring.character_table, so for k <= K_MAX each byte of a flat word has a
+fixed weight (_weight_table), and gf2.packed_weights weighs a span of
+flat words a block at a time.  The weight is invariant under the unit
+group U, and only the unit 1 fixes a word outside the residue kernel.  So
+an R_k-module is weighed as its residue kernel plus one word of each unit
+orbit outside it, each counted |U| times (hom_split; hom_minima walks the
+same words for minima only).  Inside the kernel the units 1 + u_j fix
+more words, so it is weighed one word per pair y, (1+u_j)*y of distinct
+words, counted twice, plus the words every u_j kills.  Both are one
+split, _split at y -> u_A*y: u_top*y is y's residue word on the top bit
+of each coordinate, so the residue split (residue_split) is the split at
+u_top, and each kernel level the split at u_j.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -50,6 +49,8 @@ from rkcodes.gf2 import (
     LOW_ROWS,
     F2Span,
     min_weight,
+    packed_counts,
+    packed_min,
     popcounts,
     rotate_bits,
     self_orthogonal,
@@ -73,6 +74,7 @@ from rkcodes.ring import (
     RingElement,
     character_table,
     format_element,
+    gamma,
     hom_weight_vec,
     one,
     unit_count,
@@ -446,18 +448,30 @@ def binary_image(code: QTCode) -> BinaryCode:
     return binary_image_of_span(code_span(code))
 
 
-def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
-    """(image, weigh, least) under which a flat word weighs its homogeneous weight.
+@cache
+def _weight_table(k: int) -> bytes:
+    """Homogeneous weight, in units of gamma(k), of each byte of a flat word over R_k."""
+    return bytes(x.bit_count() // gamma(k) for x in _map_coordinates(k, 8 >> k, range(256), True))
 
-    For k <= K_MAX image maps rows through ring.character_table (see the
-    module docstring), words weigh their popcount and least, the smallest
-    nonzero weight of a span, is gf2.min_weight; wider rows stay as they
-    are, words are weighed one RingElement at a time and least walks.
+
+def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
+    """(counts, least): span_counts and span_min_weight of flat words by homogeneous weight.
+
+    For k <= K_MAX gf2.packed_weights weighs the words, but a span's least
+    (start = 0) is gf2.min_weight of its rows' character images, as the
+    information sets need Hamming weights; wider words weigh RingElements.
     """
     if k <= K_MAX:
-        return partial(_map_coordinates, k, n, character=True), popcounts, min_weight
+        table, g, nbytes = _weight_table(k), gamma(k), ((n << k) + 7) >> 3
+        return (
+            lambda rows, start=0: {
+                g * w: c for w, c in enumerate(packed_counts(rows, table, nbytes, start)) if c
+            },
+            lambda rows, start=0: g * packed_min(rows, table, nbytes, start)
+            if start else min_weight(_map_coordinates(k, n, rows, True)),
+        )
     weigh = partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
-    return list, weigh, partial(span_min_weight, weigh=weigh)
+    return partial(span_counts, weigh=weigh), partial(span_min_weight, weigh=weigh)
 
 
 def _split(
@@ -543,21 +557,19 @@ def hom_split(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], Mapping, M
     """
     if (k, n, basis) in _kept_split:
         return _kept_split[k, n, basis]
-    image, weigh, _ = _hom_view(k, n)
+    counts, _ = _hom_view(k, n)
     top = (1 << k) - 1
     residues, lifts, rows = residue_split(k, n, basis)
-    kernel = image(rows)
     inside, outside = Counter(), Counter()
-    for start, coset in _cosets(image(lifts), kernel, top):
-        outside.update({w: c << top for w, c in span_counts(coset, weigh, start).items()})
+    for start, coset in _cosets(lifts, rows, top):
+        outside.update({w: c << top for w, c in counts(coset, start=start).items()})
     for a in (1 << j for j in range(k) if 1 << j != top):  # at k = 1, u_1 is u_top
         if len(rows) <= LOW_ROWS:
             break
         _, lifts, rows = _split(k, n, rows, a)
-        kernel = image(rows)
-        for start, coset in _cosets(image(lifts), kernel, 1):
-            inside.update({w: 2 * c for w, c in span_counts(coset, weigh, start).items()})
-    inside.update(span_counts(kernel, weigh))
+        for start, coset in _cosets(lifts, rows, 1):
+            inside.update({w: 2 * c for w, c in counts(coset, start=start).items()})
+    inside.update(counts(rows))
     _kept_split.clear()
     _kept_split[k, n, basis] = tuple(residues), MappingProxyType(inside), MappingProxyType(outside)
     return _kept_split[k, n, basis]
@@ -573,11 +585,10 @@ def hom_minima(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], int | Non
     if (k, n, basis) in _kept_split:
         residues, inside, outside = _kept_split[k, n, basis]
         return residues, min((w for w in inside if w), default=None), min(outside, default=None)
-    image, weigh, least = _hom_view(k, n)
+    _, least = _hom_view(k, n)
     residues, lifts, kernel = residue_split(k, n, basis)
-    lifts, kernel = image(lifts), image(kernel)
     cosets = _cosets(lifts, kernel, (1 << k) - 1)
-    d_nonkernel = min((span_min_weight(rows, weigh, start) for start, rows in cosets), default=None)
+    d_nonkernel = min((least(rows, start=start) for start, rows in cosets), default=None)
     return tuple(residues), least(kernel) if kernel else None, d_nonkernel
 
 
@@ -586,8 +597,7 @@ def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> We
     span = code_span(code)
     _check_budget(span.rank, budget)
     if span.rank <= LOW_ROWS:  # one block: its walk costs less than a split
-        image, weigh, _ = _hom_view(span.k, span.n)
-        return WeightEnumerator(span_counts(image(span.basis), weigh))
+        return WeightEnumerator(_hom_view(span.k, span.n)[0](span.basis))
     _, inside, outside = hom_split(span.k, span.n, span.basis)  # a code span is a module
     return WeightEnumerator({w: inside.get(w, 0) + outside.get(w, 0) for w in {*inside, *outside}})
 

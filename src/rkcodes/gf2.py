@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, islice
 from math import comb
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 LOW_ROWS = 10  # span_blocks blocks hold 2^LOW_ROWS words
@@ -131,6 +132,67 @@ def span_min_weight(
     for block in blocks:
         best = min(best, min(weigh(block)))
     return best
+
+
+@lru_cache(maxsize=256)
+def _lanes(table: bytes, nbytes: int) -> tuple[bytes, ...]:
+    """The lane of each weight packed_weights can give, up to nbytes * max(table):
+    c bytes of 7 bits, bit 7 set in the first, for the least c that holds them all."""
+    c = max(1, -(-(nbytes * max(table)).bit_length() // 7))
+    return tuple(
+        (sum((w >> 7 * j & 0x7F) << 8 * j for j in range(c)) | 0x80).to_bytes(c, "little")
+        for w in range(nbytes * max(table) + 1)
+    )
+
+
+def packed_weights(
+    basis: Sequence[int], table: bytes, nbytes: int, start: int = 0
+) -> Iterator[bytes]:
+    """The words start ^ span(basis), weighed a block at a time.
+
+    A word is nbytes bytes and weighs the sum of table[b] over its bytes b.
+    Each block of span_blocks is one packed int, word j at byte j*nbytes:
+    the first built by doubling, each other its XOR with h * repunit, h a
+    combination of the other rows (span_iter).  It goes to bytes, through
+    table, and its byte columns, widened to the lanes of _lanes, are summed
+    as ints: block.count(_lanes(table, nbytes)[w]) counts its words of
+    weight w, as no match straddles two lanes.
+    """
+    c = len(_lanes(table, nbytes)[0])
+    packed, rep, words = start, 1, 1
+    for row in basis[:LOW_ROWS]:
+        packed |= (packed ^ row * rep) << words * nbytes * 8
+        rep |= rep << words * nbytes * 8
+        words *= 2
+    lane = ((1 << words * c * 8) - 1) // ((1 << c * 8) - 1)
+    wide = bytearray(words * c)
+    high = [row * rep for row in basis[LOW_ROWS:]]
+    for block in (packed ^ h for h in span_iter(high)) if high else (packed,):
+        weights = block.to_bytes(words * nbytes, "little").translate(table)
+        total = 0
+        for i in range(nbytes):
+            wide[::c] = weights[i::nbytes]
+            total += int.from_bytes(wide, "little")
+        coded = 0x80 * lane  # each lane's 7-bit digits, bit 7 set in its first byte
+        for j in range(c):
+            coded |= (total >> 7 * j & 0x7F * lane) << 8 * j
+        yield coded.to_bytes(words * c, "little")
+
+
+def packed_counts(basis: Sequence[int], table: bytes, nbytes: int, start: int = 0) -> list[int]:
+    """Entry w: how many words of start ^ span(basis) weigh w, by packed_weights."""
+    patterns = _lanes(table, nbytes)
+    tally = [0] * len(patterns)
+    for block in packed_weights(basis, table, nbytes, start):
+        tally = list(map(add, tally, map(block.count, patterns)))
+    return tally
+
+
+def packed_min(basis: Sequence[int], table: bytes, nbytes: int, start: int) -> int:
+    """Least weight of the words start ^ span(basis), by packed_weights."""
+    patterns = _lanes(table, nbytes)
+    blocks = packed_weights(basis, table, nbytes, start)
+    return min(patterns.index(next(filter(block.__contains__, patterns))) for block in blocks)
 
 
 def _systematic(basis: Sequence[int], columns: int) -> tuple[list[int], int] | None:

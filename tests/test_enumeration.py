@@ -172,6 +172,18 @@ def test_paired_hom_counts_match_the_walk_on_module_spans(k):
         assert hom_counts(k, span.n, span.basis) == walked_hom_counts(k, span.n, span.basis), code
 
 
+def test_hom_weight_enumerator_past_one_byte_of_weight():
+    # 130 coordinates over R_1: a word weighs up to 260 gamma, past one byte's lane
+    rng = random.Random(130)
+    gens = ["|".join(rng.choice("01u3") for _ in range(130)) for _ in range(6)]
+    code = QTCode.from_strings(1, gens)
+    span = code_span(code)
+    assert span.n == 130 and span.rank > LOW_ROWS
+    codes_module._kept_split.clear()
+    assert hom_weight_enumerator(code) == oracle_hom_enumerator(code)
+    assert_minima_match_the_walk(1, span.n, span.basis)
+
+
 def test_paired_hom_counts_past_k_max():
     code = QTCode.from_strings(4, ["u1u2,u3u4+u1u2u3u4"], lam="1+u1", notation="generic")
     span = code_span(code)
