@@ -10,7 +10,7 @@ import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import islice, product
+from itertools import compress, islice, product
 from typing import Sequence
 
 from rkcodes.codes import (
@@ -19,7 +19,6 @@ from rkcodes.codes import (
     ModuleSpan,
     QTCode,
     _check_budget,
-    _span_of_flat,
     binary_image,
     binary_image_of_span,
     code_record,
@@ -28,6 +27,7 @@ from rkcodes.codes import (
     generator_rows,
     grade_scaled,
     hom_minima,
+    module_image,
     qc_index,
     unflatten_vec,
 )
@@ -334,8 +334,7 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
         gen_str, orbit_min = _orbit_min_string(digits, tokens, lam_times, m)
         if gen_str != orbit_min:
             continue  # a shift-equivalent candidate was or will be seen
-        span = _span_of_flat(k, ell * m, generator_rows(k, lam.coeffs, ell, m, digits))
-        img = binary_image_of_span(span)
+        img = module_image(k, ell * m, generator_rows(k, lam.coeffs, ell, m, digits))
         try:
             d = img.min_distance(config.budget)
         except BudgetError:
@@ -343,6 +342,27 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
             continue
         _keep_best(best, (img.length, img.rank), (-d, gen_str))
     return best, skipped
+
+
+def _draw_digits(rng: random.Random, size: int, count: int) -> bytes:
+    """[rng.randrange(size) for _ in range(count)] for size = 2^(2^k) <= 256, in bulk.
+
+    randrange(size) reads the top size.bit_length() bits of one 32-bit
+    Mersenne Twister word, drawing again while the top bit is set, and
+    getrandbits(32*N) is the next N words, the first lowest.  A round draws
+    at most the digits still needed, so rng ends where the loop would.
+    """
+    bits, out = size.bit_length(), bytearray()
+    while len(out) < count:
+        words = min(count - len(out), 1 << 16)  # bounds a round's memory
+        raw = rng.getrandbits(32 * words)
+        top = raw.to_bytes(4 * words, "little")[3::4]
+        if bits <= 8:  # the digit is in the top byte: delete bytes >= 128, shift the rest
+            out += top.translate(bytes(x >> 8 - bits for x in range(256)), bytes(range(128, 256)))
+        else:  # size 256: bits 23..30 of each word whose top byte is below 128
+            kept = top.translate(bytes(x < 128 for x in range(256)))
+            out.extend(compress((raw >> 23).to_bytes(4 * words, "little")[::4], kept))
+    return bytes(out)
 
 
 def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
@@ -369,10 +389,8 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
                     f"2^{config.max_candidates_log2} exhaustive cap"
                 )
         else:
-            tuples = [
-                [rng.randrange(size) for _ in range(positions)]
-                for _ in range(config.samples)
-            ]
+            digits = _draw_digits(rng, size, positions * config.samples)
+            tuples = [digits[i:i + positions] for i in range(0, len(digits), positions)]
             total = len(tuples)
         step = -(-total // min(jobs * 4, total))
         for lo in range(0, total, step):

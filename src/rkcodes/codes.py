@@ -7,7 +7,8 @@ bits u_B with B & A == 0 (then u_A u_B = u_(A+B) and no bit crosses into
 the next coordinate).  The R_k-span of generator rows equals the F2-span
 of all u_A * row, so row-reducing those gives exact size and enumeration
 whether or not the module is free.  Binary images apply the Gray map to
-that F2 basis and row-reduce again.  For k <= K_MAX a coordinate has 2, 4
+that F2 basis and row-reduce again, or, in search (module_image), to all
+u_A * row and row-reduce once.  For k <= K_MAX a coordinate has 2, 4
 or 8 bits, so every byte of a flat word holds whole coordinates, and a row
 is mapped byte by byte through a 256-entry table built once per k.
 
@@ -442,6 +443,12 @@ def binary_image_of_span(span: ModuleSpan) -> BinaryCode:
     """
     k, n = span.k, span.n
     return BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, span.basis, False))
+
+
+def module_image(k: int, n: int, rows: Iterable[int]) -> BinaryCode:
+    """Binary image of the module of flat rows by one RREF: the Gray images of all u_A * row."""
+    words = [(flat & mask) << a for flat in rows for a, mask in _monomial_masks(k, n)]
+    return BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, words, False))
 
 
 def binary_image(code: QTCode) -> BinaryCode:

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from rkcodes import analysis
 from rkcodes.analysis import (
     SearchConfig,
     bound_check,
@@ -207,6 +209,48 @@ PINNED_SEARCHES = [
 def test_search_output_pinned(config, digest):
     blob = json.dumps(search(config), sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def reference_draw(rng: random.Random, size: int, count: int) -> list[int]:
+    return [rng.randrange(size) for _ in range(count)]
+
+
+@pytest.mark.parametrize("size", [4, 16, 256])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2021])
+@pytest.mark.parametrize("count", [1, 9, 3000, 150_000])  # 150,000 digits take several rounds
+def test_bulk_draw_equals_randrange_and_leaves_the_same_state(size, seed, count):
+    bulk, loop = random.Random(seed), random.Random(seed)
+    assert list(analysis._draw_digits(bulk, size, count)) == reference_draw(loop, size, count)
+    assert bulk.getstate() == loop.getstate()
+
+
+def test_bulk_draw_rounds_are_capped():
+    calls = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k: int) -> int:
+            calls.append(k)
+            return super().getrandbits(k)
+
+    assert len(analysis._draw_digits(Counting(5), 4, 150_000)) == 150_000
+    assert len(calls) > 2 and max(calls) == 32 << 16
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SearchConfig(k=1, lam="3", ell=3, m_values=(2, 3), mode="random", samples=500, seed=21),
+        SearchConfig(k=2, lam="1", ell=2, m_values=(2, 3), mode="random", samples=300, seed=22),
+        SearchConfig(k=3, ell=1, m_values=(2,), mode="random", samples=60, seed=23),
+        SearchConfig(k=1, ell=1, m_values=(1,), mode="random", samples=1, seed=3),
+    ],
+    ids=["k1-two-coindices", "k2-two-coindices", "k3", "one-sample"],
+)
+def test_random_search_equals_the_randrange_draw(config, monkeypatch):
+    # every coindex draws from one rng, so the second coindex's samples follow the first's
+    bulk = json.dumps(search(config), sort_keys=True)
+    monkeypatch.setattr(analysis, "_draw_digits", reference_draw)
+    assert json.dumps(search(config), sort_keys=True) == bulk
 
 
 def test_search_reports_candidates_all_skipped_for_budget():

@@ -11,6 +11,8 @@ work.  A cache that lets a traced pass reuse work done by the untraced
 pass before it, or by the untimed drawing of its inputs, breaks that
 check.  The same sequence runs here on the two workloads that read
 hom_split, and again after pass 1 and after dropping hom_split's kept split.
+A traced search must count each sampled candidate once: as all-zero, as
+an orbit duplicate, as skipped for the budget, or as evaluated.
 """
 
 from __future__ import annotations
@@ -47,6 +49,19 @@ def test_guard_finds_a_missing_patch_target(trace, monkeypatch):
             trace.install(tracer)
     finally:
         tracer.restore()
+
+
+def test_traced_search_counts_every_candidate_once(trace):
+    # evaluated counts BinaryCode.min_distance calls: one per orbit-least candidate
+    config = analysis.SearchConfig(
+        k=1, lam="3", ell=3, m_values=(2, 3), mode="random", samples=300, seed=5
+    )
+    tracer = trace.Tracer()
+    with tracer.attached():
+        analysis.search(config)
+    assert tracer.search_identity_holds()
+    assert tracer.counts["search.generated"] == 600
+    assert tracer.counts["search.evaluated"] > 0
 
 
 @pytest.mark.parametrize("name", ["enumerate", "tables"])
