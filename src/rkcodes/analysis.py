@@ -8,13 +8,13 @@ import io
 import json
 import random
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from importlib import resources
-from itertools import compress, islice, product
+from itertools import accumulate, compress, islice, product
 from typing import Sequence
 
 from rkcodes.codes import (
     DEFAULT_BUDGET_LOG2,
+    BinaryCode,
     BudgetError,
     ModuleSpan,
     QTCode,
@@ -27,7 +27,7 @@ from rkcodes.codes import (
     generator_rows,
     grade_scaled,
     hom_minima,
-    module_image,
+    module_image_words,
     qc_index,
     unflatten_vec,
 )
@@ -260,48 +260,74 @@ def config_hash(config: SearchConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _orbit_tokens(k: int, ell: int, m: int, notation: str | None) -> list[list[str]]:
-    """Per digit position, format_element(c) + the separator format_generator puts after it."""
-    texts = [format_element(e, notation) for e in elements(k)]
-    inner = [t + element_separator(k, notation) for t in texts]
-    tokens = ([inner] * (m - 1) + [[t + "|" for t in texts]]) * ell
-    tokens[-1] = texts
-    return tokens
-
-
-@lru_cache(maxsize=64)
-def _shift_permutations(positions: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """For s = 1..m-1, where each digit of the s-fold twisted shift comes from.
-
-    Indices point into digits + [lambda*c for c in digits]: coefficient i of
-    a block shifted s times is coefficient i - s, or lambda times
-    coefficient m + i - s when i < s.
-    """
-    return tuple(
-        tuple(
-            positions + lo + m - s + i if i < s else lo + i - s
-            for lo in range(0, positions, m)
-            for i in range(m)
-        )
-        for s in range(1, m)
-    )
-
-
-def _orbit_min_string(
-    digits: Sequence[int], tokens: list[list[str]], lam_times: list[int], m: int
-) -> tuple[str, str]:
+def _orbit_min_string(shifts: Sequence[Sequence[str]]) -> tuple[str, str]:
     """(candidate string, minimum string over the simultaneous-shift orbit).
 
-    digits[b*m + i] is coefficient i of block b; lam_times[c] is lambda*c.
+    shifts[b][s] is block b's string after s twisted shifts, as
+    format_block writes it; shift s of the candidate joins them by "|".
     """
-    first = "".join(map(list.__getitem__, tokens, digits))
-    best = first
-    both = [*digits, *map(lam_times.__getitem__, digits)]
-    for perm in _shift_permutations(len(digits), m):
-        text = "".join(map(list.__getitem__, tokens, map(both.__getitem__, perm)))
-        if text < best:
-            best = text
-    return first, best
+    texts = shifts[0] if len(shifts) == 1 else list(map("|".join, zip(*shifts)))
+    return texts[0], min(texts)
+
+
+_MEMO_ENTRIES = 1 << 12  # blocks a memo of _BlockParts holds before it is cleared
+
+
+class _BlockParts:
+    """Shift strings and Gray-image words of a candidate's blocks, memoised per position.
+
+    The twisted shift acts per block, u_A and the Gray map per coordinate,
+    and block b owns the coordinates i*ell + b.  So a candidate's orbit
+    strings join its blocks', and the Gray images of all u_A * x^i * g,
+    which span the image of g's module, are sums of its blocks' words.  A
+    block's words are made once a candidate holding it is evaluated.
+    """
+
+    def __init__(self, k: int, lam: RingElement, ell: int, m: int, notation: str | None):
+        self.k, self.lam, self.ell, self.m = k, lam.coeffs, ell, m
+        self.lam_table = bytes((lam * e).coeffs for e in elements(k)).ljust(256, b"\0")
+        sep = element_separator(k, notation)
+        self.texts = [format_element(e, notation) + sep for e in elements(k)]
+        self.widths, self.cut = bytes(map(len, self.texts)).ljust(256, b"\0"), len(sep)
+        self.memos = [{} for _ in range(ell)]
+
+    def blocks(self, digits: Sequence[int]) -> list[list]:
+        """[shift strings, image words or None] of each block of the digits."""
+        m = self.m
+        if self.ell == 1:  # no block recurs, so no memo
+            return [[self._shifts(bytes(digits)), None]]
+        parts = []
+        for b, memo in enumerate(self.memos):
+            block = bytes(digits[b * m:b * m + m])
+            part = memo.get(block)
+            if part is None:
+                if len(memo) >= _MEMO_ENTRIES:
+                    memo.clear()
+                part = memo[block] = [self._shifts(block), None]
+            parts.append(part)
+        return parts
+
+    def _shifts(self, block: bytes) -> list[str]:
+        """The block's strings after 0..m-1 twisted shifts, as format_block writes them.
+
+        Shift s is the window of lambda*block + block at m - s: the texts of
+        its elements m - s to 2m - s - 1, less the separator after the last.
+        """
+        m, cut, both = self.m, self.cut, block.translate(self.lam_table) + block
+        text = both.decode("latin-1").translate(self.texts)
+        ends = [0, *accumulate(both.translate(self.widths))]
+        return [text[ends[m - s]:ends[2 * m - s] - cut] for s in range(m)]
+
+    def image(self, digits: Sequence[int], parts: list[list]) -> BinaryCode:
+        """Gray image of the module of the candidate digits, given their blocks()."""
+        k, ell, m, n = self.k, self.ell, self.m, self.ell * self.m
+        for b, part in enumerate(parts):
+            if part[1] is None:  # block b alone: zeros before it, no digits after
+                alone = bytes(b * m) + bytes(digits[b * m:b * m + m])
+                part[1] = module_image_words(k, n, generator_rows(k, self.lam, ell, m, alone))
+        # blocks own disjoint coordinates, so the sum of their words is their OR
+        rows = parts[0][1] if ell == 1 else list(map(sum, zip(*(part[1] for part in parts))))
+        return BinaryCode.from_rows(n * unit_count(k), rows)
 
 
 def _keep_best(best: dict, cell: tuple[int, int], key: tuple[int, str]) -> None:
@@ -316,9 +342,7 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
     """
     config, m = payload["config"], payload["m"]
     k, ell, notation = config.k, config.ell, config.notation
-    lam = parse_element(config.lam, k, notation)
-    tokens = _orbit_tokens(k, ell, m, notation)
-    lam_times = [(lam * e).coeffs for e in elements(k)]
+    parts_of = _BlockParts(k, parse_element(config.lam, k, notation), ell, m, notation)
     if "index_range" in payload:
         lo, hi = payload["index_range"]
         every = product(range(1 << (1 << k)), repeat=ell * m)
@@ -331,10 +355,11 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
     for digits in candidates:
         if not any(digits):
             continue
-        gen_str, orbit_min = _orbit_min_string(digits, tokens, lam_times, m)
+        parts = parts_of.blocks(digits)
+        gen_str, orbit_min = _orbit_min_string([part[0] for part in parts])
         if gen_str != orbit_min:
             continue  # a shift-equivalent candidate was or will be seen
-        img = module_image(k, ell * m, generator_rows(k, lam.coeffs, ell, m, digits))
+        img = parts_of.image(digits, parts)
         try:
             d = img.min_distance(config.budget)
         except BudgetError:

@@ -7,10 +7,11 @@ bits u_B with B & A == 0 (then u_A u_B = u_(A+B) and no bit crosses into
 the next coordinate).  The R_k-span of generator rows equals the F2-span
 of all u_A * row, so row-reducing those gives exact size and enumeration
 whether or not the module is free.  Binary images apply the Gray map to
-that F2 basis and row-reduce again, or, in search (module_image), to all
-u_A * row and row-reduce once.  For k <= K_MAX a coordinate has 2, 4
-or 8 bits, so every byte of a flat word holds whole coordinates, and a row
-is mapped byte by byte through a 256-entry table built once per k.
+that F2 basis and row-reduce again; module_image_words maps all u_A * row
+instead, which span the same image, so search reduces once.  For k <=
+K_MAX a coordinate has 2, 4 or 8 bits, so every byte of a flat word holds
+whole coordinates, and a row is mapped byte by byte through a 256-entry
+table built once per k.
 
 Homogeneous weights are taken on the ring side, independently of the Gray
 map: w(x) = #{u in U : chi(u*x) = -1} is the popcount of x's image under
@@ -32,9 +33,10 @@ position of coefficient i of block b is i*ell + b.  Under this layout the
 global twisted shift T_lambda^ell acts as per-block multiplication by x,
 so codes built from twistulant generators are literally T_lambda^ell
 invariant and their binary images are literally (image_len * ell)-QC when
-lambda = 1.  qt_generator_matrix returns the block-concatenated display
-form of the same rows, which differs from the span rows by the
-perfect-shuffle column permutation only.
+lambda = 1, and search sums a candidate's module_image_words from its
+blocks' (analysis._BlockParts).  qt_generator_matrix returns the
+block-concatenated display form of the same rows, which differs from the
+span rows by the perfect-shuffle column permutation only.
 """
 
 from __future__ import annotations
@@ -445,10 +447,10 @@ def binary_image_of_span(span: ModuleSpan) -> BinaryCode:
     return BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, span.basis, False))
 
 
-def module_image(k: int, n: int, rows: Iterable[int]) -> BinaryCode:
-    """Binary image of the module of flat rows by one RREF: the Gray images of all u_A * row."""
+def module_image_words(k: int, n: int, rows: Iterable[int]) -> list[int]:
+    """Gray images of all u_A * row, row-major: they span the binary image of the rows' module."""
     words = [(flat & mask) << a for flat in rows for a, mask in _monomial_masks(k, n)]
-    return BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, words, False))
+    return _map_coordinates(k, n, words, False)
 
 
 def binary_image(code: QTCode) -> BinaryCode:

@@ -20,7 +20,6 @@ from rkcodes.codes import (
     interleave,
     deinterleave,
     is_qt_invariant,
-    module_image,
     module_span,
     qc_equivalent,
     qt_generator_matrix,
@@ -29,7 +28,7 @@ from rkcodes.codes import (
     spanning_rows,
 )
 from rkcodes.gf2 import F2Span
-from rkcodes.codes import _span_of_flat, flatten_vec, unflatten_vec
+from rkcodes.codes import flatten_vec, unflatten_vec
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import Polynomial, parse_block
 from rkcodes.ring import RingElement, one, parse_element, zero
@@ -327,19 +326,3 @@ def test_bound_lemma_on_samples():
             if any(e.residue() for e in word)
         ]
         assert min(nonkernel) >= gamma(k) * d_res
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_module_image_is_the_image_of_the_module_span(k):
-    # module_image maps every u_A * row and reduces once; the reference reduces twice.
-    rng = random.Random(2100 + k)
-    n = 4
-    for _ in range(40):
-        rows = [rng.getrandbits(n << k) for _ in range(rng.randint(1, 3))]
-        rows += [0, rows[0] ^ rows[-1], rows[0]]  # a zero row and dependent rows
-        rng.shuffle(rows)
-        span = _span_of_flat(k, n, rows)
-        img = module_image(k, n, rows)
-        assert img == binary_image_of_span(span)
-        assert img.rank == span.rank
-    assert module_image(k, n, [0]) == binary_image_of_span(_span_of_flat(k, n, [0]))

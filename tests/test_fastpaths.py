@@ -1,10 +1,11 @@
-"""Byte-table maps, pivot-mask elimination, min-only distance, index-permutation
-orbit keys and the F2Span Gray decoder against the code they replaced.
+"""Byte-table maps, pivot-mask elimination, min-only distance, search's per-block
+parts and the F2Span Gray decoder against the code they replaced.
 
 Each oracle below is the implementation its fast path replaced: the
 per-coordinate loop behind binary images and character maps, F2Span with a
 loop over every basis row, the minimum nonzero key of a full span_counts,
-the orbit check that slices each shift out of the digit lists, and the
+the orbit check that slices each shift out of the digit lists and reads a
+per-position token table, the Gray image of a reduced module span, and the
 GrayMap decoder that carried basis combinations through its own elimination.
 """
 
@@ -17,12 +18,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkcodes.analysis import _orbit_min_string, _orbit_tokens
-from rkcodes.codes import _map_coordinates
+from rkcodes.analysis import _BlockParts, _orbit_min_string
+from rkcodes.codes import _map_coordinates, _span_of_flat, binary_image_of_span, generator_rows
 from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_min_weight
 from rkcodes import graymap
 from rkcodes.graymap import GrayMap, NotInImageError
-from rkcodes.ring import RingElement, character_table, unit_count
+from rkcodes.polyqt import element_separator
+from rkcodes.ring import RingElement, character_table, elements, format_element, unit_count
 
 
 def oracle_map_coordinates(k, n, basis, lookup, width):
@@ -73,6 +75,15 @@ def random_basis(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
     while len(span.basis()) < rank:
         span.add(rng.getrandbits(length))
     return span.basis()
+
+
+def orbit_tokens(k: int, ell: int, m: int, notation: str | None) -> list[list[str]]:
+    """Per digit position, format_element(c) + the separator format_generator puts after it."""
+    texts = [format_element(e, notation) for e in elements(k)]
+    inner = [t + element_separator(k, notation) for t in texts]
+    tokens = ([inner] * (m - 1) + [[t + "|" for t in texts]]) * ell
+    tokens[-1] = texts
+    return tokens
 
 
 def oracle_orbit_min_string(digits, tokens, lam_times, m):
@@ -155,15 +166,37 @@ def test_orbit_min_string_matches_sliced_shifts(shape):
     k, notation, ell, m = shape
     rng = random.Random(str(shape))
     size = 1 << (1 << k)
-    tokens = _orbit_tokens(k, ell, m, notation)
+    tokens = orbit_tokens(k, ell, m, notation)
     for _ in range(200):
         lam = RingElement(k, rng.randrange(1, size, 2))
         lam_times = [(lam * RingElement(k, c)).coeffs for c in range(size)]
         top = rng.choice((3, size - 1))  # small digits make ties and shared prefixes
         digits = [rng.randint(0, top) for _ in range(ell * m)]
-        assert _orbit_min_string(digits, tokens, lam_times, m) == oracle_orbit_min_string(
-            digits, tokens, lam_times, m
-        )
+        shifts = [part[0] for part in _BlockParts(k, lam, ell, m, notation).blocks(digits)]
+        assert _orbit_min_string(shifts) == oracle_orbit_min_string(digits, tokens, lam_times, m)
+
+
+@pytest.mark.parametrize("shape", ORBIT_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_block_parts_match_the_sliced_orbit_and_the_module_span_image(shape):
+    # The image oracle reduces twice: the module span, then its Gray image.
+    k, notation, ell, m = shape
+    rng = random.Random(f"parts {shape}")
+    size, n = 1 << (1 << k), ell * m
+    tokens = orbit_tokens(k, ell, m, notation)
+    for _ in range(6):
+        lam = RingElement(k, rng.randrange(1, size, 2))
+        lam_times = [(lam * RingElement(k, c)).coeffs for c in range(size)]
+        parts_of = _BlockParts(k, lam, ell, m, notation)  # memos shared by the trials below
+        top = rng.choice((3, size - 1))
+        pool = [bytes(m), *(bytes(rng.randint(0, top) for _ in range(m)) for _ in range(3))]
+        for trial in range(24):  # few blocks, so most trials hit memoised parts
+            digits = b"".join(rng.choice(pool) for _ in range(ell))
+            digits = (bytes, tuple, list)[trial % 3](digits)
+            parts = parts_of.blocks(digits)
+            pair = oracle_orbit_min_string(digits, tokens, lam_times, m)
+            assert _orbit_min_string([part[0] for part in parts]) == pair, digits
+            span = _span_of_flat(k, n, generator_rows(k, lam.coeffs, ell, m, digits))
+            assert parts_of.image(digits, parts) == binary_image_of_span(span), digits
 
 
 class OracleDecoder:

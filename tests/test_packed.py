@@ -18,7 +18,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rkcodes import analysis
-from rkcodes.analysis import SearchConfig, _evaluate_chunk, _orbit_min_string, _orbit_tokens
+from rkcodes.analysis import (
+    SearchConfig, _BlockParts, _draw_digits, _evaluate_chunk, _orbit_min_string
+)
 from rkcodes.codes import (
     BinaryCode,
     QTCode,
@@ -214,14 +216,11 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_orbit_min_string_matches_formatted_orbit(case):
     k, notation, ell, m, lam, digits = case
-    tokens = _orbit_tokens(k, ell, m, notation)
-    lam_times = [(lam * RingElement(k, c)).coeffs for c in range(1 << (1 << k))]
     blocks = tuple(
         tuple(RingElement(k, digits[b * m + i]) for i in range(m)) for b in range(ell)
     )
-    assert _orbit_min_string(digits, tokens, lam_times, m) == oracle_orbit_min_string(
-        blocks, lam, notation
-    )
+    shifts = [part[0] for part in _BlockParts(k, lam, ell, m, notation).blocks(digits)]
+    assert _orbit_min_string(shifts) == oracle_orbit_min_string(blocks, lam, notation)
 
 
 DIGIT_SHAPES = [  # (k, notation, lambda, ell, m)
@@ -268,14 +267,36 @@ def base_size_digits(idx: int, size: int, positions: int) -> list[int]:
 def test_exhaustive_chunk_digits_match_base_size_decode(monkeypatch, lo, hi):
     k, ell, m = 1, 2, 3  # 4^6 = 4096 tuples
     seen = []
-    orbit_min = analysis._orbit_min_string
+    blocks = _BlockParts.blocks
 
-    def recording(digits, *rest):
+    def recording(self, digits):
         seen.append(list(digits))
-        return orbit_min(digits, *rest)
+        return blocks(self, digits)
 
-    monkeypatch.setattr(analysis, "_orbit_min_string", recording)
+    monkeypatch.setattr(_BlockParts, "blocks", recording)
     config = SearchConfig(k=k, lam="3", ell=ell, m_values=(m,), budget=24)
     _evaluate_chunk({"config": config, "m": m, "index_range": (lo, hi)})
     expected = [base_size_digits(idx, 4, ell * m) for idx in range(lo, hi)]
     assert seen == [d for d in expected if any(d)]
+
+
+def test_chunk_output_does_not_depend_on_the_block_memo_bound(monkeypatch):
+    # (k, lambda, ell, m) = (2, 1, 2, 4) has 16^4 blocks per position; the
+    # budget skips the large codes, whose distance would take most of the time.
+    config = SearchConfig(
+        k=2, lam="1", ell=2, m_values=(4,), mode="random", samples=5000, seed=1, budget=12
+    )
+    digits = _draw_digits(random.Random(config.seed), 16, 8 * config.samples)
+    tuples = [digits[i:i + 8] for i in range(0, len(digits), 8)]
+    for lo in (0, 4):  # more distinct blocks than a memo holds, at both positions
+        assert len({t[lo:lo + 4] for t in tuples}) > analysis._MEMO_ENTRIES
+    bounded = _BlockParts(2, RingElement(2, 1), 2, 4, None)
+    shifts = [[part[0] for part in bounded.blocks(t)] for t in tuples]
+    assert all(0 < len(memo) <= analysis._MEMO_ENTRIES for memo in bounded.memos)
+    payload = {"config": config, "m": 4, "tuples": tuples}
+    chunk = _evaluate_chunk(payload)
+    assert chunk[0] and chunk[1]  # some codes evaluated, some skipped for the budget
+    monkeypatch.setattr(analysis, "_MEMO_ENTRIES", len(tuples) + 1)  # never fills
+    unbounded = _BlockParts(2, RingElement(2, 1), 2, 4, None)
+    assert [[part[0] for part in unbounded.blocks(t)] for t in tuples] == shifts
+    assert _evaluate_chunk(payload) == chunk
