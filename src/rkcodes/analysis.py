@@ -27,8 +27,10 @@ from rkcodes.codes import (
     generator_rows,
     grade_scaled,
     hom_minima,
+    last_code,
     module_image_words,
     qc_index,
+    split_minima,
     unflatten_vec,
 )
 from rkcodes.gf2 import F2Span, min_weight
@@ -163,10 +165,11 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     code, or no unit generator coefficient for the one-generator bound)
     are reported as None.
     """
-    span = code_span(code)
+    span, split = last_code.get(code)  # split: hom_weight_enumerator's, if it ran on code last
     _check_budget(span.rank, budget)
     g = gamma(span.k)
-    residues, d_kernel, d_nonkernel = hom_minima(span.k, span.n, span.basis)  # a module
+    minima = split_minima(*split) if split else hom_minima(span.k, span.n, span.basis)  # a module
+    residues, d_kernel, d_nonkernel = minima
     d_hom = min((d for d in (d_kernel, d_nonkernel) if d is not None), default=None)
     d_res = min_weight(residues) if residues else None  # independent rows, rank <= span.rank
     lower = g * d_res if d_res is not None else None
@@ -417,7 +420,8 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
             digits = _draw_digits(rng, size, positions * config.samples)
             tuples = [digits[i:i + positions] for i in range(0, len(digits), positions)]
             total = len(tuples)
-        step = -(-total // min(jobs * 4, total))
+        # one job takes one chunk per coindex, so one _BlockParts memo serves every candidate
+        step = -(-total // min(jobs * 4 if jobs > 1 else 1, total))
         for lo in range(0, total, step):
             hi = min(lo + step, total)
             part = (

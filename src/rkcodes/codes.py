@@ -26,7 +26,16 @@ more words, so it is weighed one word per pair y, (1+u_j)*y of distinct
 words, counted twice, plus the words every u_j kills.  Both are one
 split, _split at y -> u_A*y: u_top*y is y's residue word on the top bit
 of each coordinate, so the residue split (residue_split) is the split at
-u_top, and each kernel level the split at u_j.
+u_top, and each kernel level the split at u_j.  A span of one block is
+walked once instead, kernel rows first, and counted in two parts.
+
+binary_image (so code_record), hom_weight_enumerator and
+analysis.bound_check take a code's span from last_code, a memo of the
+code object last asked about, which also keeps the hom_split that
+hom_weight_enumerator made for bound_check to read.  Only back-to-back
+calls on one code object gain, as wd and library chains make.  The key is
+identity, as hashing a frozen QTCode walks every entry.  code_span keeps
+no memo: each of its calls builds the span, which tracers count.
 
 Quasitwisted codewords use the interleaved coordinate layout: the vector
 position of coefficient i of block b is i*ell + b.  Under this layout the
@@ -45,7 +54,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import islice
-from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import (
@@ -54,10 +62,12 @@ from rkcodes.gf2 import (
     min_weight,
     packed_counts,
     packed_min,
+    packed_split,
     popcounts,
     rotate_bits,
     self_orthogonal,
     span_counts,
+    span_blocks,
     span_iter,
     span_min_weight,
 )
@@ -283,6 +293,29 @@ def code_span(code: QTCode) -> ModuleSpan:
     return _span_of_flat(code.k, code.n, _flat_rows(code))
 
 
+class _LastCode:
+    """The code object last asked about, its span and, once made, its hom_split.
+
+    The entry is one tuple, read and replaced whole, so a caller never
+    mixes parts of two codes.
+    """
+
+    entry: tuple = (None, None, None)
+
+    def reset(self) -> None:
+        self.entry = (None, None, None)
+
+    def get(self, code: QTCode) -> tuple[ModuleSpan, tuple | None]:
+        """(span, hom_split or None) of the code; the span is built unless code is the last."""
+        entry = self.entry
+        if entry[0] is not code:
+            entry = self.entry = code, code_span(code), None
+        return entry[1:]
+
+
+last_code = _LastCode()
+
+
 def enumerate_codewords(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> Iterator[RingVec]:
     return code_span(code).codewords(budget)
 
@@ -454,7 +487,7 @@ def module_image_words(k: int, n: int, rows: Iterable[int]) -> list[int]:
 
 
 def binary_image(code: QTCode) -> BinaryCode:
-    return binary_image_of_span(code_span(code))
+    return binary_image_of_span(last_code.get(code)[0])
 
 
 @cache
@@ -463,8 +496,10 @@ def _weight_table(k: int) -> bytes:
     return bytes(x.bit_count() // gamma(k) for x in _map_coordinates(k, 8 >> k, range(256), True))
 
 
-def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
-    """(counts, least): span_counts and span_min_weight of flat words by homogeneous weight.
+def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
+    """(counts, least, halves): span_counts and span_min_weight of flat words by homogeneous
+    weight, and halves(rows, cut), the counts of the first cut words of a one-block span's
+    walk and of the rest.
 
     For k <= K_MAX gf2.packed_weights weighs the words, but a span's least
     (start = 0) is gf2.min_weight of its rows' character images, as the
@@ -472,15 +507,23 @@ def _hom_view(k: int, n: int) -> tuple[Callable, Callable]:
     """
     if k <= K_MAX:
         table, g, nbytes = _weight_table(k), gamma(k), ((n << k) + 7) >> 3
+
+        def scaled(tally: list[int]) -> dict[int, int]:
+            return {g * w: c for w, c in enumerate(tally) if c}
+
         return (
-            lambda rows, start=0: {
-                g * w: c for w, c in enumerate(packed_counts(rows, table, nbytes, start)) if c
-            },
+            lambda rows, start=0: scaled(packed_counts(rows, table, nbytes, start)),
             lambda rows, start=0: g * packed_min(rows, table, nbytes, start)
             if start else min_weight(_map_coordinates(k, n, rows, True)),
+            lambda rows, cut: tuple(map(scaled, packed_split(rows, table, nbytes, cut))),
         )
     weigh = partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
-    return partial(span_counts, weigh=weigh), partial(span_min_weight, weigh=weigh)
+
+    def halves(rows: list[int], cut: int) -> tuple[Counter, Counter]:
+        weights = list(weigh(span_blocks(rows)[0]))
+        return Counter(weights[:cut]), Counter(weights[cut:])
+
+    return partial(span_counts, weigh=weigh), partial(span_min_weight, weigh=weigh), halves
 
 
 def _split(
@@ -550,25 +593,24 @@ def _cosets(
         yield start, lifts[:i] + rows[: i * group] + rows[(i + 1) * group:]
 
 
-_kept_split: dict[tuple, tuple] = {}  # hom_split of the last code: (k, n, basis) -> split
-
-
 def hom_split(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], Mapping, Mapping]:
     """(residues, inside, outside) for the R_k-module spanned by the flat words of basis.
 
     residues is the residue code's RREF basis (residue_split).  inside
     maps homogeneous weight -> count over the residue kernel, zero word
-    included, by pairs y, (1+u_j)*y at each u_j but u_top while the rows
-    left exceed one block, then a walk; outside counts the other words,
-    one per unit orbit.  That weighs (2^rank - 2^b)/|U| + (2^b + 2^f)/2
-    words, b and f the ranks of the kernel and of the rows left.  The
-    last code's split is kept, read-only, for hom_minima.
+    included, and outside over the other words.  A span of one block is
+    walked once, kernel rows first: blocks double row by row, so its first
+    2^f words are the kernel, f its rank.  A larger one weighs inside by
+    pairs y, (1+u_j)*y at each u_j but u_top while the rows left exceed one
+    block, then a walk, and outside one word per unit orbit: (2^rank -
+    2^b)/|U| + (2^b + 2^f)/2 words, b and f the ranks of the kernel and of
+    the rows left.
     """
-    if (k, n, basis) in _kept_split:
-        return _kept_split[k, n, basis]
-    counts, _ = _hom_view(k, n)
-    top = (1 << k) - 1
+    counts, _, halves = _hom_view(k, n)
     residues, lifts, rows = residue_split(k, n, basis)
+    if len(basis) <= LOW_ROWS:
+        return (tuple(residues), *halves(rows + lifts, 1 << len(rows)))
+    top = (1 << k) - 1
     inside, outside = Counter(), Counter()
     for start, coset in _cosets(lifts, rows, top):
         outside.update({w: c << top for w, c in counts(coset, start=start).items()})
@@ -579,22 +621,25 @@ def hom_split(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], Mapping, M
         for start, coset in _cosets(lifts, rows, 1):
             inside.update({w: 2 * c for w, c in counts(coset, start=start).items()})
     inside.update(counts(rows))
-    _kept_split.clear()
-    _kept_split[k, n, basis] = tuple(residues), MappingProxyType(inside), MappingProxyType(outside)
-    return _kept_split[k, n, basis]
+    return tuple(residues), inside, outside
+
+
+def split_minima(residues: tuple, inside: Mapping, outside: Mapping) -> tuple:
+    """hom_minima read from a hom_split: the least nonzero weight of each part."""
+    return residues, min((w for w in inside if w), default=None), min(outside, default=None)
 
 
 def hom_minima(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], int | None, int | None]:
     """(residues, d_kernel, d_nonkernel): hom_split's residues and the least nonzero weights.
 
     d_kernel is the least inside the residue kernel, d_nonkernel outside
-    it, None for no word: read from the split hom_split kept if it is this
-    module's, else by _hom_view's least on the kernel and a min-only walk.
+    it, None for no word.  A span of one block takes them from hom_split's
+    one walk; a larger one from _hom_view's least on the kernel and a
+    min-only walk of each coset, as a full split can cost far more.
     """
-    if (k, n, basis) in _kept_split:
-        residues, inside, outside = _kept_split[k, n, basis]
-        return residues, min((w for w in inside if w), default=None), min(outside, default=None)
-    _, least = _hom_view(k, n)
+    if len(basis) <= LOW_ROWS:
+        return split_minima(*hom_split(k, n, basis))
+    _, least, _ = _hom_view(k, n)
     residues, lifts, kernel = residue_split(k, n, basis)
     cosets = _cosets(lifts, kernel, (1 << k) - 1)
     d_nonkernel = min((least(rows, start=start) for start, rows in cosets), default=None)
@@ -602,12 +647,13 @@ def hom_minima(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], int | Non
 
 
 def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
-    """Homogeneous weight distribution, computed on the ring side."""
-    span = code_span(code)
+    """Homogeneous weight distribution, computed on the ring side; last_code keeps its split."""
+    span, split = last_code.get(code)
     _check_budget(span.rank, budget)
-    if span.rank <= LOW_ROWS:  # one block: its walk costs less than a split
-        return WeightEnumerator(_hom_view(span.k, span.n)[0](span.basis))
-    _, inside, outside = hom_split(span.k, span.n, span.basis)  # a code span is a module
+    if split is None:
+        split = hom_split(span.k, span.n, span.basis)  # a code span is a module
+        last_code.entry = code, span, split
+    _, inside, outside = split
     return WeightEnumerator({w: inside.get(w, 0) + outside.get(w, 0) for w in {*inside, *outside}})
 
 

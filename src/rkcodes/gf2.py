@@ -188,6 +188,15 @@ def packed_counts(basis: Sequence[int], table: bytes, nbytes: int, start: int = 
     return tally
 
 
+def packed_split(basis: Sequence[int], table: bytes, nbytes: int, cut: int) -> list[list[int]]:
+    """packed_counts of the first cut words of a one-block span(basis) and of the rest,
+    in span_blocks' word order."""
+    patterns = _lanes(table, nbytes)
+    block = next(packed_weights(basis, table, nbytes))
+    cut *= len(patterns[0])
+    return [list(map(part.count, patterns)) for part in (block[:cut], block[cut:])]
+
+
 def packed_min(basis: Sequence[int], table: bytes, nbytes: int, start: int) -> int:
     """Least weight of the words start ^ span(basis), by packed_weights."""
     patterns = _lanes(table, nbytes)

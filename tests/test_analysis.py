@@ -173,16 +173,25 @@ def test_search_determinism_and_jobs_independence():
     ids=["exhaustive", "random"],
 )
 def test_search_output_does_not_depend_on_chunking(config):
-    # jobs=1 evaluates 4 chunks per coindex in this process, jobs=2 evaluates 8 in two workers.
+    # jobs=1 evaluates one chunk per coindex in this process, jobs=2 evaluates 8 in two workers.
     one_job, two_jobs = (json.dumps(search(config, jobs=j), sort_keys=True) for j in (1, 2))
     assert one_job == two_jobs
 
 
 def test_exhaustive_search_output_does_not_depend_on_chunk_edges():
-    # 4^6 tuples: 4 chunks of 1024 with jobs=1, 12 of 342 (the last 334) with jobs=3.
+    # 4^6 tuples: one chunk with jobs=1, 12 of 342 (the last 334) with jobs=3.
     config = SearchConfig(k=1, lam="3", ell=2, m_values=(3,))
     one_job, three_jobs = (json.dumps(search(config, jobs=j), sort_keys=True) for j in (1, 3))
     assert one_job == three_jobs
+
+
+def test_one_job_evaluates_one_chunk_per_coindex(monkeypatch):
+    # each chunk makes its own block memo, so one job makes one per coindex
+    chunks = []
+    evaluate = analysis._evaluate_chunk
+    monkeypatch.setattr(analysis, "_evaluate_chunk", lambda p: chunks.append(p["m"]) or evaluate(p))
+    search(SearchConfig(k=1, lam="3", ell=3, m_values=(2, 3), mode="random", samples=50, seed=1))
+    assert chunks == [2, 3]
 
 
 # sha256 of json.dumps(search(config), sort_keys=True), recorded from the

@@ -179,7 +179,7 @@ def test_hom_weight_enumerator_past_one_byte_of_weight():
     code = QTCode.from_strings(1, gens)
     span = code_span(code)
     assert span.n == 130 and span.rank > LOW_ROWS
-    codes_module._kept_split.clear()
+    codes_module.last_code.reset()
     assert hom_weight_enumerator(code) == oracle_hom_enumerator(code)
     assert_minima_match_the_walk(1, span.n, span.basis)
 
@@ -266,14 +266,15 @@ def assert_minima_match_the_walk(k: int, n: int, basis) -> tuple[int | None, int
     """
     residues, _, kernel = residue_split(k, n, basis)
     expected = walked_minima(k, n, basis, kernel)
-    codes_module._kept_split.clear()
-    assert hom_minima(k, n, tuple(basis)) == (tuple(residues), *expected)  # the min-only walk
+    codes_module.last_code.reset()
+    # above one block the min-only coset walk, else hom_split's one walk
+    assert hom_minima(k, n, tuple(basis)) == (tuple(residues), *expected)
     split_residues, inside, outside = hom_split(k, n, tuple(basis))
     assert list(split_residues) == residues
     assert inside == walked_hom_counts(k, n, kernel)
     assert outside == walked_hom_counts(k, n, basis) - Counter(inside)
     assert split_minima(inside, outside) == expected
-    assert hom_minima(k, n, tuple(basis)) == (split_residues, *expected)  # read from the split
+    assert hom_minima(k, n, tuple(basis)) == (split_residues, *expected)  # pure: same again
     return expected
 
 
@@ -291,11 +292,11 @@ def test_hom_minima_match_the_walk(k):
             assert not residue_split(k, span.n, span.basis)[1] and 0 < span.rank <= LOW_ROWS
             assert d_nonkernel is None
     # empty kernels: the zero span, and the F2 span of one word with a unit coordinate
-    codes_module._kept_split.clear()
+    codes_module.last_code.reset()
     assert hom_minima(k, 2, ()) == ((), None, None)
     assert hom_split(k, 2, ()) == ((), Counter({0: 1}), Counter())
     assert hom_minima(k, 2, ()) == ((), None, None)
-    codes_module._kept_split.clear()
+    codes_module.last_code.reset()
     assert hom_minima(k, 2, (1,))[1:] == walked_minima(k, 2, [1], []) == (None, gamma(k))
     _, inside, outside = hom_split(k, 2, (1,))  # no module: only its least weights hold
     assert split_minima(inside, outside) == (None, gamma(k))
@@ -550,7 +551,7 @@ def test_hom_counts_splits_an_r1_module_once(monkeypatch):
     calls = []
     split = codes_module._split
     monkeypatch.setattr(codes_module, "_split", lambda *args: calls.append(args) or split(*args))
-    codes_module._kept_split.clear()
+    codes_module.last_code.reset()
     counts = hom_counts(1, 12, span.basis)
     assert len(calls) == 1
     assert counts == walked_hom_counts(1, 12, span.basis)
@@ -656,41 +657,62 @@ def codes_past_k_max(seed: int, count: int) -> list[QTCode]:
     return out
 
 
+def test_one_block_split_matches_the_walk():
+    # one walk, kernel rows first: its first 2^f words are the residue kernel
+    codes = [build_row_code(row) for row in load_table_rows()]
+    for k in (1, 2, 3):
+        codes += random_codes(40 + k, 10, ks=(k,), max_rank=LOW_ROWS)
+    past_k_max = QTCode.from_strings(4, ["u1u2u3|u4"], notation="generic")  # span_blocks' list
+    assert code_span(past_k_max).rank <= LOW_ROWS
+    for code in codes + [past_k_max]:
+        span = code_span(code)
+        _, _, kernel = residue_split(span.k, span.n, span.basis)
+        _, inside, outside = hom_split(span.k, span.n, span.basis)
+        assert inside == walked_hom_counts(span.k, span.n, kernel), code
+        assert outside == walked_hom_counts(span.k, span.n, span.basis) - Counter(inside), code
+
+
 def test_bound_check_and_enumerator_agree_in_any_order_and_cache_state():
-    # bound_check reads hom_split's kept split when it holds the code: neither may matter
+    # bound_check reads hom_weight_enumerator's split when last_code holds it: neither may matter
     codes = [build_row_code(row) for row in load_table_rows()]
     assert len(codes) == 45
     for k in (1, 2, 3):
         codes += random_codes(110 + k, 8, ks=(k,), max_rank=16)
     codes += codes_past_k_max(114, 8)
     ranks = {code_span(code).rank > LOW_ROWS for code in codes}
-    assert ranks == {False, True}  # one block is walked, and only larger spans keep a split
+    assert ranks == {False, True}  # one block is walked once, a larger span split by orbits
     other = QTCode.from_strings(2, ["a7728|92452"])
     for code in codes:
-        codes_module._kept_split.clear()
+        codes_module.last_code.reset()
         hom = hom_weight_enumerator(code)
         bounds = bound_check(code)
         assert hom.total() == 1 << code_span(code).rank
         assert bounds["hom_distance"] == hom.min_nonzero(), code
-        codes_module._kept_split.clear()
+        codes_module.last_code.reset()
         assert bound_check(code) == bounds and hom_weight_enumerator(code) == hom, code
         assert hom_weight_enumerator(code) == hom and bound_check(code) == bounds, code
         hom_weight_enumerator(other)
         assert bound_check(code) == bounds, code
         bound_check(other)
         assert hom_weight_enumerator(code) == hom, code
-        codes_module._kept_split.clear()
+        codes_module.last_code.reset()
         assert hom_weight_enumerator(code) == hom, code
 
 
-def test_kept_split_is_read_only():
-    code = QTCode.from_strings(2, ["a7728|92452"])
-    span = code_span(code)
-    hom = hom_weight_enumerator(code)
-    _, inside, outside = hom_split(2, span.n, span.basis)
-    for counts in (inside, outside):
-        with pytest.raises(TypeError):
-            counts[0] = 1
-        with pytest.raises(AttributeError):
-            counts.update({0: 1})
-    assert hom_weight_enumerator(code) == hom
+def test_mutating_an_answer_leaves_the_next_call_alone():
+    # last_code keeps the span and split: no answer may share a dict with them
+    for k, generator in ((1, "10|11|3u"), (2, "a7728|92452")):  # one block, and above it
+        code = QTCode.from_strings(k, [generator])
+        span = code_span(code)
+        codes_module.last_code.reset()
+        hom, bounds = hom_weight_enumerator(code), bound_check(code)
+        split = hom_split(k, span.n, span.basis)
+        pairs, report = hom.pairs(), dict(bounds)
+        parts = [dict(part) for part in split[1:]]
+        hom._counts[0] = 7
+        bounds["hom_distance"] = -1
+        for part in split[1:]:
+            part[0] = 7
+        assert hom_weight_enumerator(code).pairs() == pairs, generator
+        assert bound_check(code) == report, generator
+        assert [dict(part) for part in hom_split(k, span.n, span.basis)[1:]] == parts, generator

@@ -77,7 +77,7 @@ def test_hom_weight_enumerator_memory_is_one_block():
     # rank 20 inside the maximal ideal: the residue kernel is the whole span
     code = QTCode.from_strings(2, ["ea6e2|8c60c", "e2cc0|ae068"])
     assert code_span(code).rank == 20
-    codes_module._kept_split.clear()
+    codes_module.last_code.reset()
     tracemalloc.start()
     try:
         hom = hom_weight_enumerator(code)
@@ -93,11 +93,11 @@ def test_a_wrong_byte_table_shows_against_the_image_enumerator(k, generator, mon
     # the ring side and the Gray image share no weighing code, so each checks the other
     code = QTCode.from_strings(k, [generator])
     image = binary_image(code).weight_enumerator()
-    codes_module._kept_split.clear()
+    codes_module.last_code.reset()
     assert hom_weight_enumerator(code) == image
     table = bytearray(_weight_table(k))
     table[0x11] += 1  # one byte of two nonzero coordinates weighs gamma too much
     monkeypatch.setattr(codes_module, "_weight_table", lambda k: bytes(table))
-    codes_module._kept_split.clear()
+    codes_module.last_code.reset()
     assert hom_weight_enumerator(code) != image
-    codes_module._kept_split.clear()
+    codes_module.last_code.reset()
