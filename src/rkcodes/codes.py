@@ -54,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import (
     LOW_ROWS,
@@ -387,10 +387,19 @@ class WeightEnumerator:
 
 @dataclass(frozen=True)
 class BinaryCode:
-    """Binary linear code held as a canonical row-reduced generator basis."""
+    """Binary linear code held as a canonical row-reduced generator basis.
+
+    divisor (every weight is a multiple of it) and parts (those of
+    gf2.info_set_min_weight) are what binary_image_of_span and
+    binary_image know of the codes they make.  They are class defaults
+    that assume nothing, not fields: equality and hashing read length and
+    rows alone, and from_rows pays nothing for them.
+    """
 
     length: int
     rows: tuple[int, ...]
+    divisor: ClassVar[int] = 1
+    parts: ClassVar[tuple[tuple[int, int], ...]] = ()
 
     @classmethod
     def from_rows(cls, length: int, rows: Sequence[int]) -> "BinaryCode":
@@ -408,10 +417,11 @@ class BinaryCode:
         _check_budget(self.rank, budget)
         if self.rank == 0:
             raise ValueError("the zero code has no minimum distance")
-        return min_weight(self.rows)
+        return min_weight(self.rows, self.parts, self.divisor)
 
     def is_self_orthogonal(self) -> bool:
-        return self_orthogonal(self.rows)
+        """A doubly-even code is self-orthogonal: 2*wt(x & y) = wt(x) + wt(y) - wt(x ^ y)."""
+        return self.divisor % 4 == 0 or self_orthogonal(self.rows)
 
     def is_self_dual(self) -> bool:
         return 2 * self.rank == self.length and self.is_self_orthogonal()
@@ -473,11 +483,16 @@ def _map_coordinates(k: int, n: int, basis: Sequence[int], character: bool) -> l
 def binary_image_of_span(span: ModuleSpan) -> BinaryCode:
     """Binary Gray image of a span, mapped through the byte table of its k.
 
-    Gray images exist for k <= K_MAX only; a wider span raises GrayMap's
-    ValueError.
+    Its divisor is gamma(k): a word weighs the homogeneous weight of its
+    preimage, a sum of 0, gamma and 2*gamma.  So at k >= 2 it is
+    doubly-even, hence self-orthogonal.  It gets no parts, as the span
+    need not be a module.  Gray images exist for k <= K_MAX only; a wider
+    span raises GrayMap's ValueError.
     """
     k, n = span.k, span.n
-    return BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, span.basis, False))
+    img = BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, span.basis, False))
+    object.__setattr__(img, "divisor", gamma(k))
+    return img
 
 
 def module_image_words(k: int, n: int, rows: Iterable[int]) -> list[int]:
@@ -486,8 +501,56 @@ def module_image_words(k: int, n: int, rows: Iterable[int]) -> list[int]:
     return _map_coordinates(k, n, words, False)
 
 
+@cache
+def _unit_columns(k: int) -> tuple[int, ...]:
+    """The Gray column of each unit of R_k, ordered so that the first 2^i units form a group.
+
+    Bit c of psi(a) is parity(a & w_c), w_c the column word of c (bit A =
+    bit c of psi(u_A)).  Multiplication by lambda moves the all-ones
+    column word, a -> parity(a), to the one of a -> parity(lambda*a), with
+    bit A = parity(lambda & M_A): the column of lambda.  U acts on the
+    columns regularly, mu taking the column of lambda to that of
+    mu*lambda.  The group doubles by 1 + u_1, ..., 1 + u_k, then the other
+    1 + u_A by degree; its first 2^i units, i <= k, span the 2^i monomials
+    in u_1..u_i, so their columns read all they can of a coordinate.
+    """
+    masks = [mask for _, mask in _monomial_masks(k, 1)]
+    rows = GrayMap(k).basis_rows
+    where = {sum((row >> c & 1) << a for a, row in enumerate(rows)): c for c in range(unit_count(k))}
+    group = [1]
+    for a in sorted(range(1, 1 << k), key=int.bit_count):
+        group += [x ^ (x & masks[a]) << a for x in group]  # (1 + u_A) * x
+    return tuple(
+        where[sum(((lam & mask).bit_count() & 1) << a for a, mask in enumerate(masks))]
+        for lam in group
+    )
+
+
+@lru_cache(maxsize=256)
+def image_parts(k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The (columns, copies) pairs of gf2.info_set_min_weight for Gray images of R_k-modules.
+
+    Part h (h = 1, 2, 4, ..., |U|/2) holds, in each of the n coordinates,
+    the columns of the first h units of _unit_columns, a subgroup H of U.
+    Multiplication by a unit permutes the columns of every coordinate
+    alike and maps the image of a module onto itself, and the units of a
+    coset g*H move the part onto the columns of g*H: |U|/h disjoint copies.
+    """
+    size = unit_count(k)
+    columns = _unit_columns(k)
+    repunit = ((1 << n * size) - 1) // ((1 << size) - 1)  # bit 0 of every coordinate
+    return tuple(
+        (sum(1 << c for c in columns[:h]) * repunit, size // h)
+        for h in (1 << i for i in range(size.bit_length() - 1))
+    )
+
+
 def binary_image(code: QTCode) -> BinaryCode:
-    return binary_image_of_span(last_code.get(code)[0])
+    """Binary Gray image of the code (binary_image_of_span), with image_parts as its parts:
+    the span of a code is an R_k-module."""
+    img = binary_image_of_span(last_code.get(code)[0])
+    object.__setattr__(img, "parts", image_parts(code.k, code.n))
+    return img
 
 
 @cache

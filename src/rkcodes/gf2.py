@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain, islice
 from math import comb
-from operator import add
+from operator import add, or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 LOW_ROWS = 10  # span_blocks blocks hold 2^LOW_ROWS words
@@ -275,20 +275,89 @@ def weight_divisor(basis: Sequence[int]) -> int:
 LEVEL_COST = 256  # measured: a basis's pass over a level beyond its combinations, in walk words
 
 
-def info_set_min_weight(basis: Sequence[int]) -> int:
+def _greedy_sets(basis: Sequence[int], columns: int) -> list[list[int]]:
+    """Bases of the span, each systematic on its own set of pivot columns inside columns.
+
+    Taken greedily, each on the columns no earlier set holds, while those
+    number at least len(basis) and the rows keep full rank on them.
+    """
+    sets = []
+    while columns.bit_count() >= len(basis) and (found := _systematic(basis, columns)):
+        sets.append(found[0])
+        columns &= ~found[1]
+    return sets
+
+
+def _passes_cost(rank: int, t: int, copies: int, best: int, divisor: int) -> int:
+    """What the passes over levels 2, 3, ... of t sets of the given copies still need
+    to stop below best would cost, in walk words (info_set_min_weight)."""
+    passes = range((best - divisor) // copies + 1 - 2 * t)  # pass i: level 2 + i // t
+    return sum(comb(rank, 2 + i // t) + LEVEL_COST for i in passes)
+
+
+def information_sets(
+    basis: Sequence[int], parts: Sequence[tuple[int, int]], divisor: int
+) -> tuple[list[list[int]], int, int]:
+    """(sets, copies, best) for info_set_min_weight, best the least row weight seen;
+    sets is [] when the span is to be walked.
+
+    Each candidate (columns, copies), parts in order (most copies first)
+    and then (every column, 1), may get its _greedy_sets, and the one with
+    the most len(sets) * copies is kept, the first on a tie.  The search
+    ends at one that reaches the most sets the columns of the code can
+    hold.  A candidate is not built when its columns cannot hold more sets
+    than those kept, or when the passes that many would need
+    (_passes_cost) cost more than the walk or, once sets are kept, than
+    their passes less building its sets (about rank^2 walk words each).
+    """
+    rank = len(basis)
+    support = reduce(or_, basis)
+    best = min(map(int.bit_count, basis))  # level 1: each row alone
+    sets: list[list[int]] = []
+    copies, bar, build = 1, 1 << rank, 0  # bar: the cost to beat; the walk at first
+    for columns, times in (*parts, (support, 1)):
+        columns &= support
+        most = columns.bit_count() // rank
+        if most * times <= len(sets) * copies:
+            continue
+        if _passes_cost(rank, most, times, best, divisor) + most * build > bar:
+            continue
+        found = _greedy_sets(basis, columns)
+        best = min(best, min(map(int.bit_count, chain(*found)), default=best))
+        if len(found) * times > len(sets) * copies:
+            sets, copies = found, times
+            if len(sets) * copies >= support.bit_count() // rank:
+                break
+            bar, build = _passes_cost(rank, len(sets), copies, best, divisor), rank * rank
+    if sets and _passes_cost(rank, len(sets), copies, best, divisor) > 1 << rank:
+        sets = []
+    return sets, copies, best
+
+
+def info_set_min_weight(
+    basis: Sequence[int], parts: Sequence[tuple[int, int]] = (), divisor: int = 1
+) -> int:
     """Smallest Hamming weight of a nonzero word in the span of independent rows.
 
     Brouwer-Zimmermann information sets.  The span gets t bases, each
-    systematic on its own set of pivot columns, the sets disjoint: taken
-    greedily, each on the columns no earlier set holds, until the rows have
-    rank below len(basis) on what is left (such a short basis is dropped).
-    A word is a combination of some w_j rows of basis j and has w_j ones on
-    set j.  Level w of a basis is every combination of w of its rows; once
-    all bases have weighed level w - 1 and j of them level w, each word not
-    yet seen weighs at least j*(w+1) + (t-j)*w = t*w + j.  Every weight of
-    the span is a multiple of D = weight_divisor(basis), so the search stops
-    when t*w + j, rounded up to a multiple of D, reaches the smallest weight
-    seen.
+    systematic on its own set of pivot columns, the sets disjoint (see
+    information_sets).  A word is a combination of some w_j rows of basis
+    j and has w_j ones on set j.  Level w of a basis is every combination
+    of w of its rows; once all bases have weighed level w - 1 and j of them
+    level w, each word not yet seen weighs at least j*(w+1) + (t-j)*w =
+    t*w + j.
+
+    parts lists (columns, copies) pairs, most copies first, for a code whose
+    coordinate permutations map the columns onto copies - 1 other disjoint
+    sets of columns, and the code onto itself (codes.binary_image: the unit
+    group of R_k).  A set inside the columns then stands for copies
+    disjoint sets whose words of w ones have the weights of its own, so the
+    bound is copies * (t*w + j).  With no parts, copies is 1.
+
+    Every weight of the span is a multiple of D, the larger of divisor and
+    weight_divisor(basis) (not read when divisor is at least 4), so the
+    search stops when copies * (t*w + j), rounded up to a multiple of D,
+    reaches the smallest weight seen.
 
     Level w is weighed without being stored: each basis is split into two
     halves, and the XORs of each half's subsets, grouped by size (at most
@@ -302,22 +371,17 @@ def info_set_min_weight(basis: Sequence[int]) -> int:
     rank = len(basis)
     if not rank:
         raise ValueError("the zero span has no nonzero word")
-    sets = []
-    columns = (1 << max(basis).bit_length()) - 1
-    while (found := _systematic(basis, columns)) is not None:
-        sets.append(found[0])
-        columns &= ~found[1]
-    t = len(sets)
-    best = min(map(int.bit_count, chain(basis, *sets)))  # level 1: each row alone
-    divisor = weight_divisor(basis)  # of best too: stop once t*w + j > best - divisor
-    passes = range(best - divisor + 1 - 2 * t)  # pass i weighs level 2 + i // t of basis i % t
-    if sum(comb(rank, 2 + i // t) + LEVEL_COST for i in passes) > 1 << rank:
+    if divisor < 4:
+        divisor = max(divisor, weight_divisor(basis))  # of best too: stop once above best - D
+    sets, copies, best = information_sets(basis, parts, divisor)
+    if not sets:
         return span_min_weight(basis)
+    t = len(sets)
     half = (rank + 1) // 2
     halves = [(_SubsetXors(rows[:half]), _SubsetXors(rows[half:])) for rows in sets]
     for w in range(2, rank + 1):
         for j, (low, high) in enumerate(halves):
-            if t * w + j > best - divisor:
+            if copies * (t * w + j) > best - divisor:
                 return best
             for a in range(max(0, w - (rank - half)), min(half, w) + 1):
                 small, large = sorted((low[a], high[w - a]), key=len)
@@ -326,14 +390,17 @@ def info_set_min_weight(basis: Sequence[int]) -> int:
     return best
 
 
-def min_weight(basis: Sequence[int]) -> int:
+def min_weight(
+    basis: Sequence[int], parts: Sequence[tuple[int, int]] = (), divisor: int = 1
+) -> int:
     """Smallest Hamming weight of a nonzero word in the span of independent rows.
 
-    A basis of one block is walked; a larger one goes by information sets.
+    A basis of one block is walked; a larger one goes by information sets
+    (info_set_min_weight, which reads parts and divisor).
     """
     if len(basis) <= LOW_ROWS:
         return span_min_weight(basis)
-    return info_set_min_weight(basis)
+    return info_set_min_weight(basis, parts, divisor)
 
 
 def rotate_bits(v: int, s: int, length: int) -> int:

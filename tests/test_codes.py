@@ -28,6 +28,7 @@ from rkcodes.codes import (
     spanning_rows,
 )
 from rkcodes.gf2 import F2Span
+from rkcodes.gf2 import self_orthogonal as gf2_self_orthogonal
 from rkcodes.codes import flatten_vec, unflatten_vec
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import Polynomial, parse_block
@@ -201,7 +202,7 @@ def test_k2_images_are_self_orthogonal_with_weights_mod_4():
         rows = [tuple(RingElement(2, rng.randrange(16)) for _ in range(n))
                 for _ in range(rng.randrange(1, 3))]
         img = binary_image_of_span(module_span(rows))
-        assert img.is_self_orthogonal()
+        assert img.is_self_orthogonal() and gf2_self_orthogonal(img.rows)  # the products as oracle
         assert all(w % 4 == 0 for w, _ in img.weight_enumerator().pairs())
 
 
@@ -213,7 +214,7 @@ def test_gray_images_of_the_ring(k, params, self_orthogonal):
     # the code R_k of length 1: its image is spanned by the Gray images of the ring
     img = binary_image_of_span(module_span([(one(k),)]))
     assert (img.length, img.rank, img.min_distance()) == params
-    assert img.is_self_orthogonal() is self_orthogonal
+    assert img.is_self_orthogonal() is gf2_self_orthogonal(img.rows) is self_orthogonal
 
 
 def random_module_rows(rng: random.Random, k: int, max_n: int) -> list[tuple[RingElement, ...]]:
@@ -229,7 +230,7 @@ def test_k3_images_are_self_orthogonal():
     rng = random.Random(43)
     for _ in range(25):
         img = binary_image_of_span(module_span(random_module_rows(rng, 3, 2)))
-        assert img.is_self_orthogonal()
+        assert img.is_self_orthogonal() and gf2_self_orthogonal(img.rows)
 
 
 def test_r1_self_orthogonality_is_that_of_the_image():
@@ -242,7 +243,8 @@ def test_r1_self_orthogonality_is_that_of_the_image():
         ring_side = all(
             sum((a * b for a, b in zip(x, y)), zero(1)) == zero(1) for x in rows for y in rows
         )
-        assert binary_image_of_span(span).is_self_orthogonal() is ring_side
+        img = binary_image_of_span(span)
+        assert img.is_self_orthogonal() is gf2_self_orthogonal(img.rows) is ring_side
         seen.add(ring_side)
     assert seen == {True, False}
 

@@ -13,16 +13,19 @@ from __future__ import annotations
 import random
 from collections import Counter
 from math import gcd
+from typing import Callable
 
 import pytest
 
 from rkcodes import gf2
 from rkcodes.analysis import build_row_code, load_table_rows
 from rkcodes.codes import (
+    BinaryCode,
     QTCode,
     binary_image,
     binary_image_of_span,
     code_span,
+    image_parts,
     module_span,
     spanning_rows,
 )
@@ -31,6 +34,7 @@ from rkcodes.gf2 import (
     F2Span,
     _systematic,
     info_set_min_weight,
+    information_sets,
     min_weight,
     popcounts,
     span_counts,
@@ -38,7 +42,8 @@ from rkcodes.gf2 import (
     span_min_weight,
     weight_divisor,
 )
-from rkcodes.ring import RingElement, units
+from rkcodes.graymap import GrayMap
+from rkcodes.ring import RingElement, gamma, unit_count, units
 
 CASES = {rank: 1800 if rank <= LOW_ROWS else 750 for rank in range(1, 15)}  # 21,000 codes
 
@@ -289,3 +294,113 @@ def test_min_weight_and_counts_on_a_coset(rank):
     assert span_min_weight(rows, triple, start) == 3 * min(map(int.bit_count, coset))
     if rows:
         assert min_weight(rows) == min(w.bit_count() for w in span_iter(rows) if w)
+
+
+# --- information sets equivalent under the unit group -------------------------------------
+
+
+def image_permutations(k: int) -> list[tuple[int, ...]]:
+    """GrayMap.unit_mul_permutation of every unit of R_k."""
+    gray = GrayMap(k)
+    return [gray.unit_mul_permutation(u) for u in units(k)]
+
+
+def coordinate_permutation(perm: tuple[int, ...], n: int) -> Callable[[int], int]:
+    """perm applied to each of the n coordinates of a Gray image."""
+    size = len(perm)
+    return lambda c: c // size * size + perm[c % size]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_image_parts_are_mapped_onto_copies_disjoint_sets(k):
+    n, size = 3, unit_count(k)
+    moves = [coordinate_permutation(perm, n) for perm in image_permutations(k)]
+    parts = image_parts(k, n)
+    assert [copies for _, copies in parts] == [size >> i for i in range(len(parts))]
+    for columns, copies in parts:
+        part = [c for c in range(n * size) if columns >> c & 1]
+        assert len(part) * copies == n * size
+        images = {frozenset(map(move, part)) for move in moves}
+        assert len(images) == copies
+        assert set().union(*images) == set(range(n * size))  # disjoint: sizes add up
+
+
+def random_module_codes(rng: random.Random, k: int, count: int, ranks: range, ideal: bool) -> list:
+    """Random QT codes over R_k with lambda != 1 and two generator tuples, spans of a rank in
+    ranks; with ideal, every entry is a nonunit, so the code lies in the maximal ideal."""
+    max_n = {1: 16, 2: 5, 3: 3}[k]
+    size = 1 << (1 << k)
+    alphabet = range(0, size, 2) if ideal else range(size)
+    twists = [u for u in units(k) if u.coeffs != 1]
+    out = []
+    while len(out) < count:
+        ell = rng.randint(1, max_n)
+        m = rng.randint(1, max_n // ell)
+        gens = tuple(
+            tuple(tuple(RingElement(k, rng.choice(alphabet)) for _ in range(m)) for _ in range(ell))
+            for _ in range(2)
+        )
+        code = QTCode(rng.choice(twists), ell, m, gens)
+        if code_span(code).rank in ranks:
+            out.append(code)
+    return out
+
+
+@pytest.mark.parametrize("k, ideal", [(1, False), (1, True), (2, False), (2, True), (3, False), (3, True)])
+def test_image_min_distance_by_unit_parts_matches_walk(k, ideal):
+    rng = random.Random(f"unit parts {k} {ideal}")
+    chosen = []
+    for code in random_module_codes(rng, k, 10, range(LOW_ROWS + 1, 17), ideal):
+        img = binary_image(code)
+        assert img.parts == image_parts(k, code.n)
+        assert img.min_distance() == span_min_weight(img.rows), code
+        sets, copies, _ = information_sets(img.rows, img.parts, max(gamma(k), weight_divisor(img.rows)))
+        chosen.append((len(sets), copies))
+    assert any(copies > 1 for _, copies in chosen)  # a part was chosen
+
+
+def test_a_part_holding_one_set_reaches_d():
+    # [80,18,16]: the part of 2 units per coordinate holds one set, standing for 4
+    img = binary_image(QTCode.from_strings(2, ["010b8|4550c"]))
+    sets, copies, _ = information_sets(img.rows, img.parts, img.divisor)
+    assert (img.length, img.rank, len(sets), copies) == (80, 18, 1, 4)
+    assert img.min_distance() == span_min_weight(img.rows) == 16
+
+
+def test_a_span_that_walks_builds_no_set(monkeypatch):
+    # the rank-11 fixture image of test_rank_11_fixture_images_still_walk
+    (row,) = [row for row in load_table_rows() if row.generator == "uuu1013|uu01033|uu11101"]
+    img = binary_image(build_row_code(row))
+    built = []
+    monkeypatch.setattr(gf2, "_systematic", lambda *args: built.append(args))
+    walks = counted_walks(monkeypatch)
+    assert img.min_distance() == row.d
+    assert (built, walks) == ([], [11])
+
+
+def test_only_binary_image_carries_parts():
+    code = QTCode.from_strings(2, ["f7b77|e90d3"])
+    img = binary_image(code)
+    plain = BinaryCode.from_rows(img.length, img.rows)
+    of_span = binary_image_of_span(code_span(code))
+    assert img.parts and (of_span.parts, plain.parts) == ((), ())
+    assert (img.divisor, of_span.divisor, plain.divisor) == (4, 4, 1)
+    # structured and plain codes with the same rows are equal, and hash alike
+    assert img == plain == of_span
+    assert len({img, plain, of_span}) == 1
+    assert repr(img) == repr(plain)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_image_divisor_is_gamma(k):
+    rng = random.Random(f"divisor {k}")
+    for code in random_qt_codes(rng, k, 8, range(1, LOW_ROWS + 1)):
+        img = binary_image(code)
+        assert img.divisor == gamma(k)
+        assert all(w.bit_count() % gamma(k) == 0 for w in span_iter(img.rows)), code
+
+
+def test_image_self_orthogonality_matches_the_inner_products_on_every_fixture_row():
+    for row in load_table_rows():
+        img = binary_image(build_row_code(row))
+        assert img.is_self_orthogonal() is gf2.self_orthogonal(img.rows), row.generator
