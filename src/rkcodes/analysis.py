@@ -28,6 +28,7 @@ from rkcodes.codes import (
     grade_scaled,
     hom_minima,
     last_code,
+    module_image,
     module_image_words,
     qc_index,
     split_minima,
@@ -252,6 +253,8 @@ class SearchConfig:
             raise ValueError("need at least one coindex value")
         if self.ell < 1 or min(self.m_values) < 1:
             raise ValueError("index ell and coindex m must be positive")
+        if self.budget < 0:
+            raise ValueError(f"--budget must be at least 0, got {self.budget}")
         if self.mode == "random" and self.samples < 1:
             raise ValueError("random search needs at least one sample")
         if not parse_element(self.lam, self.k, self.notation).is_unit:
@@ -293,6 +296,7 @@ class _BlockParts:
         self.texts = [format_element(e, notation) + sep for e in elements(k)]
         self.widths, self.cut = bytes(map(len, self.texts)).ljust(256, b"\0"), len(sep)
         self.memos = [{} for _ in range(ell)]
+        self.shape = module_image(k, ell * m, ())  # the length, divisor and parts of every image
 
     def blocks(self, digits: Sequence[int]) -> list[list]:
         """[shift strings, image words or None] of each block of the digits."""
@@ -322,7 +326,7 @@ class _BlockParts:
         return [text[ends[m - s]:ends[2 * m - s] - cut] for s in range(m)]
 
     def image(self, digits: Sequence[int], parts: list[list]) -> BinaryCode:
-        """Gray image of the module of the candidate digits, given their blocks()."""
+        """module_image of the module of the candidate digits, given their blocks()."""
         k, ell, m, n = self.k, self.ell, self.m, self.ell * self.m
         for b, part in enumerate(parts):
             if part[1] is None:  # block b alone: zeros before it, no digits after
@@ -330,7 +334,8 @@ class _BlockParts:
                 part[1] = module_image_words(k, n, generator_rows(k, self.lam, ell, m, alone))
         # blocks own disjoint coordinates, so the sum of their words is their OR
         rows = parts[0][1] if ell == 1 else list(map(sum, zip(*(part[1] for part in parts))))
-        return BinaryCode.from_rows(n * unit_count(k), rows)
+        shape = self.shape
+        return BinaryCode(shape.length, F2Span(rows).basis(), shape.divisor, shape.parts)
 
 
 def _keep_best(best: dict, cell: tuple[int, int], key: tuple[int, str]) -> None:

@@ -8,26 +8,28 @@ the next coordinate).  The R_k-span of generator rows equals the F2-span
 of all u_A * row, so row-reducing those gives exact size and enumeration
 whether or not the module is free.  Binary images apply the Gray map to
 that F2 basis and row-reduce again; module_image_words maps all u_A * row
-instead, which span the same image, so search reduces once.  For k <=
-K_MAX a coordinate has 2, 4 or 8 bits, so every byte of a flat word holds
-whole coordinates, and a row is mapped byte by byte through a 256-entry
-table built once per k.
+instead, which span the same image, so search reduces once; module_image
+makes either a code with what a module's image is known to have.  For k
+<= K_MAX a coordinate has 2, 4 or 8 bits, so every byte of a flat word
+holds whole coordinates, and a row is mapped byte by byte through a
+256-entry table built once per k.
 
-Homogeneous weights are taken on the ring side, independently of the Gray
-map: w(x) = #{u in U : chi(u*x) = -1} is the popcount of x's image under
-ring.character_table, so for k <= K_MAX each byte of a flat word has a
-fixed weight (_weight_table), and gf2.packed_weights weighs a span of
-flat words a block at a time.  The weight is invariant under the unit
+Homogeneous weights are counted on the ring side, independently of the
+Gray map: w(x) = #{u in U : chi(u*x) = -1} is the popcount of
+ring.character_table's entry x, so for k <= K_MAX each byte of a flat word
+has a fixed weight (_weight_table), and gf2.packed_weights weighs a span
+of flat words a block at a time.  The weight is invariant under the unit
 group U, and only the unit 1 fixes a word outside the residue kernel.  So
 an R_k-module is weighed as its residue kernel plus one word of each unit
 orbit outside it, each counted |U| times (hom_split; hom_minima walks the
-same words for minima only).  Inside the kernel the units 1 + u_j fix
-more words, so it is weighed one word per pair y, (1+u_j)*y of distinct
-words, counted twice, plus the words every u_j kills.  Both are one
-split, _split at y -> u_A*y: u_top*y is y's residue word on the top bit
-of each coordinate, so the residue split (residue_split) is the split at
-u_top, and each kernel level the split at u_j.  A span of one block is
-walked once instead, kernel rows first, and counted in two parts.
+same words for minima only).  Inside the kernel the units 1 + u_j fix more
+words, so it is weighed one word per pair y, (1+u_j)*y of distinct words,
+counted twice, plus the words every u_j kills.  Both are one split, _split
+at y -> u_A*y: u_top*y is y's residue word on the top bit of each
+coordinate, so the residue split (residue_split) is the split at u_top,
+and each kernel level the split at u_j.  A span of one block is walked once
+instead, kernel rows first, and counted in two parts.  Only hom_minima's
+kernel minimum above one block reads the Gray image (module_image).
 
 binary_image (so code_record), hom_weight_enumerator and
 analysis.bound_check take a code's span from last_code, a memo of the
@@ -51,10 +53,10 @@ span rows by the perfect-shuffle column permutation only.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
 from itertools import islice
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import (
     LOW_ROWS,
@@ -390,16 +392,14 @@ class BinaryCode:
     """Binary linear code held as a canonical row-reduced generator basis.
 
     divisor (every weight is a multiple of it) and parts (those of
-    gf2.info_set_min_weight) are what binary_image_of_span and
-    binary_image know of the codes they make.  They are class defaults
-    that assume nothing, not fields: equality and hashing read length and
-    rows alone, and from_rows pays nothing for them.
+    gf2.info_set_min_weight) are what module_image knows of a code, and
+    binary_image_of_span the divisor only.  Equality, hashing and repr skip them.
     """
 
     length: int
     rows: tuple[int, ...]
-    divisor: ClassVar[int] = 1
-    parts: ClassVar[tuple[tuple[int, int], ...]] = ()
+    divisor: int = field(default=1, compare=False, repr=False)
+    parts: tuple[tuple[int, int], ...] = field(default=(), compare=False, repr=False)
 
     @classmethod
     def from_rows(cls, length: int, rows: Sequence[int]) -> "BinaryCode":
@@ -439,34 +439,24 @@ class BinaryCode:
 
 
 @cache
-def _byte_table(k: int, character: bool) -> bytes | tuple[bytes, ...]:
-    """Image of every byte of a flat word over R_k, k <= K_MAX.
+def _byte_table(k: int) -> bytes | tuple[bytes, ...]:
+    """Gray image of every byte of a flat word over R_k, k <= K_MAX: of its 8 >> k coordinates.
 
-    A byte holds 8 >> k whole coordinates; each goes to its Gray image or,
-    with character=True, to its ring.character_table entry.  Both maps are
-    unit_count(k) bits wide and fixed per k.  For k = 1 one byte goes to
-    one byte, so the table is a bytes.translate table; otherwise entry b
-    is the bytes that byte b goes to.
+    For k = 1 one byte goes to one byte, so the table is a bytes.translate
+    table; otherwise entry b is the bytes that byte b goes to.
     """
-    lookup = character_table(k).__getitem__ if character else GrayMap(k).word_image
-    w, width = 1 << k, unit_count(k)
-    per_byte = 8 >> k
-    images = []
-    for b in range(256):
-        img = 0
-        for c in range(per_byte):
-            img |= lookup(b >> c * w & (1 << w) - 1) << c * width
-        images.append(img.to_bytes(per_byte * width // 8, "little"))
+    gray, size = GrayMap(k), unit_count(k) >> k  # the bytes of 8 >> k coordinates' image
+    images = [gray.image(unflatten_vec(b, k, 8 >> k)).to_bytes(size, "little") for b in range(256)]
     return b"".join(images) if k == 1 else tuple(images)
 
 
-def _map_coordinates(k: int, n: int, basis: Sequence[int], character: bool) -> list[int]:
-    """Flat rows with each R_k coordinate replaced by its Gray image or character entry.
+def _map_coordinates(k: int, n: int, basis: Sequence[int]) -> list[int]:
+    """Flat rows with each R_k coordinate replaced by its Gray image.
 
-    Each row goes to bytes, through _byte_table and back.  Both maps send 0
-    to 0, so the zero coordinates that pad the last byte stay zero.
+    Each row goes to bytes, through _byte_table and back.  The Gray map
+    sends 0 to 0, so the zero coordinates that pad the last byte stay zero.
     """
-    table = _byte_table(k, character)
+    table = _byte_table(k)
     size = ((n << k) + 7) >> 3
     if k == 1:
         return [
@@ -490,15 +480,14 @@ def binary_image_of_span(span: ModuleSpan) -> BinaryCode:
     span raises GrayMap's ValueError.
     """
     k, n = span.k, span.n
-    img = BinaryCode.from_rows(n * unit_count(k), _map_coordinates(k, n, span.basis, False))
-    object.__setattr__(img, "divisor", gamma(k))
-    return img
+    rows = F2Span(_map_coordinates(k, n, span.basis)).basis()
+    return BinaryCode(n * unit_count(k), rows, gamma(k))
 
 
 def module_image_words(k: int, n: int, rows: Iterable[int]) -> list[int]:
     """Gray images of all u_A * row, row-major: they span the binary image of the rows' module."""
     words = [(flat & mask) << a for flat in rows for a, mask in _monomial_masks(k, n)]
-    return _map_coordinates(k, n, words, False)
+    return _map_coordinates(k, n, words)
 
 
 @cache
@@ -545,18 +534,23 @@ def image_parts(k: int, n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def module_image(k: int, n: int, image_words: Iterable[int]) -> BinaryCode:
+    """The binary code spanned by image_words, the Gray images of words spanning an R_k-module,
+    with divisor gamma(k) (binary_image_of_span) and the unit group's image_parts(k, n)."""
+    return BinaryCode(n * unit_count(k), F2Span(image_words).basis(), gamma(k), image_parts(k, n))
+
+
 def binary_image(code: QTCode) -> BinaryCode:
-    """Binary Gray image of the code (binary_image_of_span), with image_parts as its parts:
-    the span of a code is an R_k-module."""
-    img = binary_image_of_span(last_code.get(code)[0])
-    object.__setattr__(img, "parts", image_parts(code.k, code.n))
-    return img
+    """Binary Gray image of the code: the module_image of its span's Gray-mapped basis."""
+    span = last_code.get(code)[0]
+    return module_image(span.k, span.n, _map_coordinates(span.k, span.n, span.basis))
 
 
 @cache
 def _weight_table(k: int) -> bytes:
-    """Homogeneous weight, in units of gamma(k), of each byte of a flat word over R_k."""
-    return bytes(x.bit_count() // gamma(k) for x in _map_coordinates(k, 8 >> k, range(256), True))
+    """Homogeneous weight / gamma(k) of each byte of a flat word over R_k, by character_table."""
+    weights = [x.bit_count() // gamma(k) for x in character_table(k)]
+    return bytes(sum(weights[e.coeffs] for e in unflatten_vec(b, k, 8 >> k)) for b in range(256))
 
 
 def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
@@ -565,8 +559,8 @@ def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
     walk and of the rest.
 
     For k <= K_MAX gf2.packed_weights weighs the words, but a span's least
-    (start = 0) is gf2.min_weight of its rows' character images, as the
-    information sets need Hamming weights; wider words weigh RingElements.
+    (start = 0: a residue kernel, a module) is its module_image's minimum
+    distance, as information sets need Hamming weights; wider words weigh RingElements.
     """
     if k <= K_MAX:
         table, g, nbytes = _weight_table(k), gamma(k), ((n << k) + 7) >> 3
@@ -577,7 +571,7 @@ def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
         return (
             lambda rows, start=0: scaled(packed_counts(rows, table, nbytes, start)),
             lambda rows, start=0: g * packed_min(rows, table, nbytes, start)
-            if start else min_weight(_map_coordinates(k, n, rows, True)),
+            if start else module_image(k, n, _map_coordinates(k, n, rows)).min_distance(len(rows)),
             lambda rows, cut: tuple(map(scaled, packed_split(rows, table, nbytes, cut))),
         )
     weigh = partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))

@@ -189,6 +189,7 @@ EXIT_CASES = [  # (argv, exit code): work that is empty, malformed or all over b
       "--seed", "2"), 2),  # the only sample is the zero tuple
     (("image", "--k", "7", "--gen", "1"), 2),
     (("search", "--k", "5", "--ell", "1", "--m", "2"), 2),
+    (("search", "--k", "2", "--ell", "1", "--m", "8", "--budget", "-1"), 2),  # before the cap
 ]
 
 

@@ -17,7 +17,6 @@ from rkcodes.codes import (
     QTCode,
     WeightEnumerator,
     _cosets,
-    _map_coordinates,
     _span_of_flat,
     _split,
     code_span,
@@ -35,6 +34,7 @@ from rkcodes.gf2 import LOW_ROWS, F2Span, min_weight, span_blocks, span_counts, 
 from rkcodes.ring import (
     K_MAX,
     RingElement,
+    character_table,
     gamma,
     hom_weight_vec,
     monomial,
@@ -137,10 +137,16 @@ def test_hom_counts_matches_per_word_weights(data):
     assert hom_counts(k, n, basis) == Counter(sum(e.hom_weight() for e in word) for word in words)
 
 
+def character_rows(k: int, n: int, basis) -> list[int]:
+    """Flat rows with each coordinate x replaced by ring.character_table(k)[x], one at a time."""
+    table, width, mask = character_table(k), unit_count(k), (1 << (1 << k)) - 1
+    return [sum(table[flat >> (i << k) & mask] << i * width for i in range(n)) for flat in basis]
+
+
 def walked_hom_counts(k: int, n: int, basis) -> Counter:
     """Every word of the span weighed: character rows by popcount, or RingElements past K_MAX."""
-    if k <= K_MAX:
-        return span_counts(_map_coordinates(k, n, basis, True), hamming)
+    if k <= K_MAX:  # the character map is F2-linear: the rows' images span the span's
+        return span_counts(character_rows(k, n, basis), hamming)
     return Counter(hom_weight_vec(unflatten_vec(flat, k, n)) for flat in span_iter(basis))
 
 

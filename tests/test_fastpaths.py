@@ -2,11 +2,12 @@
 parts and the F2Span Gray decoder against the code they replaced.
 
 Each oracle below is the implementation its fast path replaced: the
-per-coordinate loop behind binary images and character maps, F2Span with a
-loop over every basis row, the minimum nonzero key of a full span_counts,
-the orbit check that slices each shift out of the digit lists and reads a
-per-position token table, the Gray image of a reduced module span, and the
-GrayMap decoder that carried basis combinations through its own elimination.
+per-coordinate loop behind binary images, F2Span with a loop over every
+basis row, the minimum nonzero key of a full span_counts, the orbit check
+that slices each shift out of the digit lists and reads a per-position
+token table, the Gray image of a reduced module span (binary_image, for the
+divisor and unit parts too), and the GrayMap decoder that carried basis
+combinations through its own elimination.
 """
 
 from __future__ import annotations
@@ -19,12 +20,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rkcodes.analysis import _BlockParts, _orbit_min_string
-from rkcodes.codes import _map_coordinates, _span_of_flat, binary_image_of_span, generator_rows
-from rkcodes.gf2 import LOW_ROWS, F2Span, span_counts, span_min_weight
+from rkcodes.codes import (
+    QTCode,
+    _map_coordinates,
+    _span_of_flat,
+    binary_image,
+    binary_image_of_span,
+    generator_rows,
+    image_parts,
+)
+from rkcodes.gf2 import LOW_ROWS, F2Span, information_sets, span_counts, span_min_weight
 from rkcodes import graymap
 from rkcodes.graymap import GrayMap, NotInImageError
 from rkcodes.polyqt import element_separator
-from rkcodes.ring import RingElement, character_table, elements, format_element, unit_count
+from rkcodes.ring import RingElement, elements, format_element, gamma
 
 
 def oracle_map_coordinates(k, n, basis, lookup, width):
@@ -102,20 +111,16 @@ def oracle_orbit_min_string(digits, tokens, lam_times, m):
     return first, best
 
 
-@pytest.mark.parametrize("character", [False, True], ids=["gray", "character"])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_byte_table_map_matches_per_coordinate_loop(k, character):
-    if character:
-        lookup, width = character_table(k).__getitem__, unit_count(k)
-    else:
-        gray = GrayMap(k)
-        lookup, width = gray.word_image, gray.image_len
+@pytest.mark.parametrize("k", [1, 2, 3], ids=lambda k: f"{k}-gray")
+def test_byte_table_map_matches_per_coordinate_loop(k):
+    gray = GrayMap(k)
+    lookup, width = gray.word_image, gray.image_len
     rng = random.Random(20 + k)
     w = 1 << k
     for n in (1, 2, 3, 5, 7, 9):  # odd n leaves zero coordinates in the last byte
         basis = [0, (1 << n * w) - 1, 1 << (n - 1) * w]
         basis += [rng.getrandbits(n * w) for _ in range(8)]
-        got = _map_coordinates(k, n, basis, character)
+        got = _map_coordinates(k, n, basis)
         assert got == oracle_map_coordinates(k, n, basis, lookup, width), (k, n)
         assert all(row < 1 << n * width for row in got)
 
@@ -196,7 +201,37 @@ def test_block_parts_match_the_sliced_orbit_and_the_module_span_image(shape):
             pair = oracle_orbit_min_string(digits, tokens, lam_times, m)
             assert _orbit_min_string([part[0] for part in parts]) == pair, digits
             span = _span_of_flat(k, n, generator_rows(k, lam.coeffs, ell, m, digits))
-            assert parts_of.image(digits, parts) == binary_image_of_span(span), digits
+            got = parts_of.image(digits, parts)
+            assert got == binary_image_of_span(span), digits
+            img = binary_image(candidate_code(k, lam, ell, m, digits))
+            assert (got, got.divisor, got.parts) == (img, img.divisor, img.parts), digits
+
+
+def candidate_code(k, lam, ell, m, digits):
+    """The QTCode of one generator tuple given as search digits: digits[b*m + i] is block b, i."""
+    blocks = tuple(tuple(RingElement(k, c) for c in digits[b * m:b * m + m]) for b in range(ell))
+    return QTCode(lam, ell, m, (blocks,))
+
+
+@pytest.mark.parametrize("ell, m", [(1, 4), (2, 3)])
+def test_block_parts_images_above_one_block_keep_their_distance(ell, m):
+    # above LOW_ROWS rows min_distance goes by information sets, where the unit parts count
+    k, size = 2, 16
+    rng = random.Random(f"parts above one block {ell} {m}")
+    lam = RingElement(k, 1)
+    parts_of = _BlockParts(k, lam, ell, m, "hex")
+    seen, copies = 0, set()
+    while seen < 12:
+        alphabet = rng.choice((range(size), range(0, size, 2)))
+        digits = bytes(rng.choice(alphabet) for _ in range(ell * m))
+        img = parts_of.image(digits, parts_of.blocks(digits))
+        if not LOW_ROWS < img.rank <= 16:
+            continue
+        seen += 1
+        assert img.parts == image_parts(k, ell * m) and img.divisor == gamma(k)
+        assert img.min_distance() == span_min_weight(img.rows), digits
+        copies.add(information_sets(img.rows, img.parts, img.divisor)[1])
+    assert max(copies) > 1  # a unit part was chosen
 
 
 class OracleDecoder:

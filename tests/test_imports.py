@@ -16,7 +16,8 @@ of a raise X(...) message may not name a snake_case or CONSTANT_CASE
 identifier (any word with an underscore); ring names such as R_1 or R_{k}
 are the paper's notation and stay allowed.  Importing the package, its
 analysis module or its CLI loads no process pool: only search with more
-than one job needs multiprocessing, so search imports it.
+than one job needs multiprocessing, so search imports it.  No module calls
+object.__setattr__ or declares a ClassVar, so frozen values stay frozen.
 """
 
 from __future__ import annotations
@@ -194,3 +195,47 @@ def test_guard_finds_identifiers_in_raise_messages():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_raise_messages_name_no_identifiers(path):
     assert identifiers_in_raise_messages(path.read_text()) == []
+
+
+def frozen_value_bypasses(source: str) -> list[str]:
+    """'line:name' of every object.__setattr__ call and every ClassVar annotation.
+
+    A frozen dataclass is written only by its own __init__: a value that one
+    of its makers knows goes in a field, not in a class default patched per
+    instance.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        func = node.func if isinstance(node, ast.Call) else None
+        if (
+            isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+            and isinstance(func.value, ast.Name) and func.value.id == "object"
+        ):
+            found.append(f"{node.lineno}:object.__setattr__")
+        elif isinstance(node, ast.AnnAssign) and "ClassVar" in ast.unparse(node.annotation):
+            found.append(f"{node.lineno}:ClassVar")
+    return found
+
+
+def test_guard_finds_frozen_value_bypasses():
+    source = (
+        "import typing\n"
+        "from typing import ClassVar\n"
+        "class C:\n"
+        "    a: ClassVar[int] = 1\n"
+        "    b: typing.ClassVar[int] = 2\n"
+        "    c: 'ClassVar[int]' = 3\n"
+        "    d: int = 4\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'd', 5)\n"
+        "        setattr(self, 'd', 6)\n"
+        "        super().__setattr__('d', 7)\n"
+    )
+    assert frozen_value_bypasses(source) == [
+        "4:ClassVar", "5:ClassVar", "6:ClassVar", "9:object.__setattr__",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_frozen_values_stay_frozen(path):
+    assert frozen_value_bypasses(path.read_text()) == []

@@ -17,16 +17,20 @@ from typing import Callable
 
 import pytest
 
+from rkcodes import codes as codes_module
 from rkcodes import gf2
-from rkcodes.analysis import build_row_code, load_table_rows
+from rkcodes.analysis import _BlockParts, build_row_code, load_table_rows
 from rkcodes.codes import (
     BinaryCode,
     QTCode,
     binary_image,
     binary_image_of_span,
     code_span,
+    hom_minima,
     image_parts,
+    module_image,
     module_span,
+    residue_split,
     spanning_rows,
 )
 from rkcodes.gf2 import (
@@ -378,12 +382,32 @@ def test_a_span_that_walks_builds_no_set(monkeypatch):
     assert (built, walks) == ([], [11])
 
 
-def test_only_binary_image_carries_parts():
+def test_only_binary_image_carries_parts(monkeypatch):
+    # module images carry the unit parts: of a code, of a search candidate, of a residue kernel
     code = QTCode.from_strings(2, ["f7b77|e90d3"])
     img = binary_image(code)
+    parts_of = _BlockParts(2, code.lam, 2, 5, "hex")
+    digits = bytes.fromhex("0f070b0707" "0e09000d03")
+    candidate = parts_of.image(digits, parts_of.blocks(digits))
+    made = []
+
+    def recorded(*args):
+        made.append(module_image(*args))
+        return made[-1]
+
+    monkeypatch.setattr(codes_module, "module_image", recorded)
+    span = code_span(code)
+    kernel = residue_split(2, span.n, span.basis)[2]
+    assert span.rank > LOW_ROWS and kernel
+    hom_minima(2, span.n, span.basis)
+    assert [m.rank for m in made] == [len(kernel)]
+    for module in (img, candidate, made[0]):
+        assert (module.divisor, module.parts) == (gamma(2), image_parts(2, code.n))
+    assert candidate == img
+    # an image of a span that need not be a module, and a bare code, carry none
     plain = BinaryCode.from_rows(img.length, img.rows)
     of_span = binary_image_of_span(code_span(code))
-    assert img.parts and (of_span.parts, plain.parts) == ((), ())
+    assert (of_span.parts, plain.parts) == ((), ())
     assert (img.divisor, of_span.divisor, plain.divisor) == (4, 4, 1)
     # structured and plain codes with the same rows are equal, and hash alike
     assert img == plain == of_span
