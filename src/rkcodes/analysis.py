@@ -1,4 +1,4 @@
-"""Code families with predicted parameters, table verification, and generator search."""
+"""Table verification, residue-distance bounds, and generator search."""
 
 from __future__ import annotations
 
@@ -16,30 +16,30 @@ from rkcodes.codes import (
     DEFAULT_BUDGET_LOG2,
     BinaryCode,
     BudgetError,
-    ModuleSpan,
     QTCode,
     _check_budget,
     binary_image,
-    binary_image_of_span,
     code_record,
     code_span,
-    flatten_vec,
     generator_rows,
-    grade_scaled,
     hom_minima,
     last_code,
     module_image,
     module_image_words,
     qc_index,
     split_minima,
-    unflatten_vec,
 )
 from rkcodes.gf2 import F2Span, min_weight
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import element_separator
-from rkcodes.ring import (
-    RingElement, elements, format_element, gamma, one, parse_element, unit_count, zero
-)
+from rkcodes.ring import RingElement, elements, format_element, gamma, parse_element, unit_count
+
+# code_span is re-exported: perfbench's tracer patches every rkcodes module that binds it,
+# and its tests check the binding here.
+__all__ = [
+    "SearchConfig", "TableRow", "bound_check", "build_row_code", "code_span", "config_hash",
+    "load_table_rows", "search", "verify_tables",
+]
 
 
 @dataclass(frozen=True)
@@ -124,33 +124,6 @@ def verify_tables(
     return reports
 
 
-def repetition_code_family(k: int, n: int) -> tuple[QTCode, tuple[int, int, int]]:
-    """Length-n repetition code over R_k with its predicted image parameters."""
-    block = tuple(one(k) for _ in range(n))
-    code = QTCode(one(k), 1, n, ((block,),))
-    return code, (n * unit_count(k), 1 << k, n * gamma(k))
-
-
-def six_m_family(m: int) -> tuple[QTCode, tuple[int, int, int]]:
-    """The four-codeword (1+u, 3)-QT family over R_1 with image [6m, 2, 4m]."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    u = RingElement(1, 0b10)
-    lam = RingElement(1, 0b11)  # 1 + u
-    if m % 2 == 0:
-        block = tuple(zero(1) if i % 2 == 0 else u for i in range(m))
-    else:
-        block = tuple(one(1) if i % 2 == 0 else lam for i in range(m))
-    all_u = tuple(u for _ in range(m))
-    code = QTCode(lam, 3, m, ((block, block, all_u),))
-    return code, (6 * m, 2, 4 * m)
-
-
-def griesmer_sum(dim: int, d: int) -> int:
-    """Griesmer lower bound on the length of a binary [n, dim, d] code."""
-    return sum(-(-d // (1 << i)) for i in range(dim))
-
-
 def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     """Residue-distance bounds on the minimum homogeneous distance.
 
@@ -199,31 +172,6 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
         "lemma_lower_holds": lemma_lower_holds,
         "ok": ok,
     }
-
-
-def table1_qc6_report() -> list[dict]:
-    """Check 6-QC invariance of Table 1 images after the grade-scaling permutation.
-
-    For odd coindex the scaled code is the QC form of the QT code, so the
-    check is guaranteed; for even coindex the outcome is reported as found.
-    """
-    out = []
-    for row in load_table_rows((1,)):
-        code = build_row_code(row)
-        span = code_span(code)
-        scaled = F2Span(
-            flatten_vec(grade_scaled(unflatten_vec(b, 1, span.n), code.lam, code.ell))
-            for b in span.basis
-        )
-        img = binary_image_of_span(ModuleSpan(1, span.n, scaled.basis()))
-        out.append(
-            {
-                "m": row.m,
-                "generator": row.generator,
-                "qc6_after_scaling": img.qc_index_check(6),
-            }
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

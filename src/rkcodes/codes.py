@@ -75,14 +75,10 @@ from rkcodes.gf2 import (
 )
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import (
-    Polynomial,
     RingVec,
-    divides_modulus,
     format_generator,
-    grade_scaled,
     parse_element,
     parse_generator,
-    poly_degree,
 )
 from rkcodes.ring import (
     K_MAX,
@@ -91,7 +87,6 @@ from rkcodes.ring import (
     format_element,
     gamma,
     hom_weight_vec,
-    one,
     unit_count,
 )
 
@@ -251,12 +246,6 @@ class QTCode:
         return [format_generator(gen, notation) for gen in self.generators]
 
 
-def interleave(blocks: Sequence[Sequence[RingElement]]) -> RingVec:
-    """Blockwise tuple -> codeword layout: position i*ell + b holds block b, coeff i."""
-    ell = len(blocks)
-    return tuple(blocks[j % ell][j // ell] for j in range(ell * len(blocks[0])))
-
-
 def deinterleave(vec: Sequence[RingElement], ell: int) -> tuple[RingVec, ...]:
     m = len(vec) // ell
     return tuple(tuple(vec[i * ell + b] for i in range(m)) for b in range(ell))
@@ -333,15 +322,6 @@ def span_shift_invariant(span: ModuleSpan, lam: RingElement, ell: int) -> bool:
         next(islice(_twisted_shifts(flat, span.k, span.n, lam.coeffs, ell), 1, None)) in f2
         for flat in span.basis
     )
-
-
-def rows_shift_invariant(
-    rows: Sequence[Sequence[RingElement]],
-    lam: RingElement,
-    ell: int,
-) -> bool:
-    """True iff T_lambda^ell maps the module span of the rows into itself."""
-    return span_shift_invariant(module_span(rows), lam, ell)
 
 
 def is_qt_invariant(code: QTCode) -> bool:
@@ -422,9 +402,6 @@ class BinaryCode:
     def is_self_orthogonal(self) -> bool:
         """A doubly-even code is self-orthogonal: 2*wt(x & y) = wt(x) + wt(y) - wt(x ^ y)."""
         return self.divisor % 4 == 0 or self_orthogonal(self.rows)
-
-    def is_self_dual(self) -> bool:
-        return 2 * self.rank == self.length and self.is_self_orthogonal()
 
     def qc_index_check(self, s: int) -> bool:
         """True iff every generator row shifted by s positions stays in the code."""
@@ -723,36 +700,6 @@ def residue_code(code: QTCode) -> BinaryCode:
     """Binary projection of the code under reduction mod the maximal ideal."""
     span = code_span(code)
     return BinaryCode.from_rows(span.n, [residue_word(b, span.k, span.n) for b in span.basis])
-
-
-def free_rank_check(g: Polynomial) -> tuple[bool, int | None]:
-    """Divisibility test for freeness of the constacyclic code <g(x)>.
-
-    Returns (is_free, rank) with rank = m - deg g when g | x^m - lambda,
-    else (False, None).  The matching image-dimension consequence
-    (2^k * rank) is verified empirically by the callers.
-    """
-    if poly_degree(g.coeffs) < 0:
-        raise ValueError("zero polynomial")
-    trimmed = list(g.coeffs[: poly_degree(g.coeffs) + 1])
-    if divides_modulus(trimmed, g.m, g.lam):
-        return True, g.m - g.degree()
-    return False, None
-
-
-def qc_equivalent(code: QTCode) -> QTCode:
-    """The ell-QC code corresponding to a QT code of odd coindex.
-
-    Applies the substitution x -> lambda*x blockwise to the generators; for
-    odd m the codeword set of the result is exactly the grade-scaled image
-    of the original code.
-    """
-    if code.m % 2 == 0:
-        raise ValueError("QT/QC correspondence requires odd coindex")
-    gens = tuple(
-        tuple(grade_scaled(block, code.lam, 1) for block in gen) for gen in code.generators
-    )
-    return QTCode(one(code.k), code.ell, code.m, gens)
 
 
 def qc_index(code: QTCode, img: BinaryCode) -> int | None:

@@ -36,14 +36,6 @@ class NotInImageError(ValueError):
     """A binary block lies outside RM(1, 2^k - 1)."""
 
 
-class PermutationNotFoundError(RuntimeError):
-    """No coordinate permutation realizes multiplication by the unit.
-
-    Reaching this would contradict the permutation-equivalence of psi(a)
-    and psi(lambda * a); it indicates a corrupted basis table.
-    """
-
-
 def _bit_slice_rows(k: int) -> tuple[int, ...]:
     n_points = unit_count(k)
     rows = []
@@ -116,41 +108,3 @@ class GrayMap:
             self.element_preimage((bits >> (i * self.image_len)) & mask)
             for i in range(n_blocks)
         )
-
-    def unit_mul_permutation(self, lam: RingElement) -> tuple[int, ...]:
-        """Coordinate permutation P with psi(lam*a) = P applied to psi(a) for all a.
-
-        P is returned as a tuple: new coordinate P[c] gets old coordinate c.
-        Column c of the basis images, bit c of each psi(u_A), is a 2^k-bit
-        word, and the columns of an RM(1, m) generator matrix are distinct,
-        so P[c] is the one column of the images psi(lam*u_A) equal to it.
-        The result is verified over the whole ring before returning, so a
-        successful return is a proof for this table.
-        """
-        if lam.k != self.k:
-            raise ValueError("unit from the wrong ring")
-        if not lam.is_unit:
-            raise ValueError("lambda must be a unit")
-        moved = [self.word_image((lam * RingElement(self.k, 1 << a)).coeffs)
-                 for a in range(len(self.basis_rows))]
-        where = {_column(moved, c): c for c in range(self.image_len)}
-        perm = tuple(where.get(_column(self.basis_rows, c)) for c in range(self.image_len))
-        ring = (RingElement(self.k, c) for c in range(1 << len(self.basis_rows)))
-        is_permutation = set(perm) == set(range(self.image_len))
-        if not is_permutation or any(apply_permutation(perm, self.element_image(e), self.image_len)
-                                     != self.element_image(lam * e) for e in ring):
-            raise PermutationNotFoundError(f"no coordinate permutation realizes multiplication by {lam}")
-        return perm
-
-
-def _column(rows: Sequence[int], c: int) -> int:
-    """Bit a of the result is bit c of rows[a]."""
-    return sum(((row >> c) & 1) << a for a, row in enumerate(rows))
-
-
-def apply_permutation(perm: Sequence[int], bits: int, length: int) -> int:
-    out = 0
-    for c in range(length):
-        if (bits >> c) & 1:
-            out |= 1 << perm[c]
-    return out

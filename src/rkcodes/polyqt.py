@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from rkcodes.ring import RingElement, default_notation, format_element, one, parse_element, zero
+from rkcodes.ring import RingElement, default_notation, format_element, parse_element, zero
 
 RingVec = tuple[RingElement, ...]
 
@@ -20,13 +20,6 @@ def shift(vec: Sequence[RingElement], lam: RingElement) -> RingVec:
     if not lam.is_unit:
         raise ValueError("shift twist must be a unit")
     return (lam * vec[-1],) + tuple(vec[:-1])
-
-
-def shift_n(vec: Sequence[RingElement], lam: RingElement, steps: int) -> RingVec:
-    out = tuple(vec)
-    for _ in range(steps):
-        out = shift(out, lam)
-    return out
 
 
 def poly_degree(coeffs: Sequence[RingElement]) -> int:
@@ -63,20 +56,6 @@ def poly_divmod(
     if not rem:
         rem = [zero(k)]
     return q, rem
-
-
-def modulus_poly(m: int, lam: RingElement) -> list[RingElement]:
-    """x^m - lambda as a raw coefficient list (equals x^m + lambda in char 2)."""
-    coeffs = [zero(lam.k) for _ in range(m + 1)]
-    coeffs[0] = lam
-    coeffs[m] = one(lam.k)
-    return coeffs
-
-
-def divides_modulus(g: Sequence[RingElement], m: int, lam: RingElement) -> bool:
-    """True iff g(x) | x^m - lambda in R_k[x]."""
-    _, rem = poly_divmod(modulus_poly(m, lam), g)
-    return poly_degree(rem) == -1
 
 
 @dataclass(frozen=True)
@@ -130,13 +109,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return poly_degree(self.coeffs) >= 0
-
-    def times_x(self) -> "Polynomial":
-        """Multiplication by x, i.e. the twisted shift on the coefficient vector."""
-        return Polynomial(shift(self.coeffs, self.lam), self.lam)
-
-    def degree(self) -> int:
-        return poly_degree(self.coeffs)
 
 
 def grade_scaled(vec: Sequence[RingElement], lam: RingElement, ell: int) -> RingVec:

@@ -109,10 +109,6 @@ class RingElement:
     def is_top(self) -> bool:
         return self.coeffs == 1 << ((1 << self.k) - 1)
 
-    def mul_by_top(self) -> "RingElement":
-        """a * u_1...u_k: the top monomial for units, 0 for non-units."""
-        return RingElement(self.k, (1 << ((1 << self.k) - 1)) if self.is_unit else 0)
-
     def character(self) -> int:
         """Canonical additive character: (-1)^popcount(coeffs)."""
         return -1 if self.coeffs.bit_count() & 1 else 1
@@ -132,15 +128,6 @@ class RingElement:
 
 def zero(k: int) -> RingElement:
     return RingElement(k, 0)
-
-
-def one(k: int) -> RingElement:
-    return RingElement(k, 1)
-
-
-def top(k: int) -> RingElement:
-    """The top monomial u_1 u_2 ... u_k."""
-    return RingElement(k, 1 << ((1 << k) - 1))
 
 
 def monomial(k: int, indices: Iterable[int]) -> RingElement:
@@ -163,19 +150,6 @@ def elements(k: int) -> Iterator[RingElement]:
 
 def units(k: int) -> Iterator[RingElement]:
     return (RingElement(k, c) for c in range(1, 1 << (1 << k), 2))
-
-
-def nonunits(k: int) -> Iterator[RingElement]:
-    return (RingElement(k, c) for c in range(0, 1 << (1 << k), 2))
-
-
-def character_unit_sum(x: RingElement) -> int:
-    """Sum of chi(alpha * x) over all units alpha.
-
-    Equals 2^(2^k-1) at x = 0, -2^(2^k-1) at the top monomial, 0 otherwise;
-    the closed-form homogeneous weight is checked against this sum in tests.
-    """
-    return sum((u * x).character() for u in units(x.k))
 
 
 @cache

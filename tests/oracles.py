@@ -1,0 +1,107 @@
+"""Builders and brute-force oracles for the paper's facts that the tests check.
+
+The code families with their predicted parameters, the Griesmer bound, free
+rank by division, the QC form of an odd-coindex QT code, and unit
+multiplication as a permutation of Gray coordinates: the library has no
+caller for them.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+from typing import Sequence
+
+from rkcodes.analysis import build_row_code, load_table_rows
+from rkcodes.codes import (
+    ModuleSpan, QTCode, binary_image_of_span, code_span, module_span, unflatten_vec
+)
+from rkcodes.graymap import GrayMap
+from rkcodes.polyqt import grade_scaled, poly_degree, poly_divmod, shift
+from rkcodes.ring import RingElement, elements, gamma, unit_count, units, zero
+
+
+def one(k: int) -> RingElement:
+    return RingElement(k, 1)
+
+
+def top(k: int) -> RingElement:
+    """The top monomial u_1 u_2 ... u_k."""
+    return RingElement(k, 1 << ((1 << k) - 1))
+
+
+def character_unit_sum(x: RingElement) -> int:
+    """Sum of chi(alpha * x) over all units alpha: |U| at 0, -|U| at the top monomial, else 0."""
+    return sum((u * x).character() for u in units(x.k))
+
+
+def shift_n(vec: Sequence[RingElement], lam: RingElement, steps: int) -> tuple:
+    """T_lambda applied steps times, one polyqt.shift at a time."""
+    return reduce(lambda out, _: shift(out, lam), range(steps), tuple(vec))
+
+
+def interleave(blocks: Sequence[Sequence[RingElement]]) -> tuple:
+    """Blockwise tuple -> codeword layout: position i*ell + b holds block b, coefficient i."""
+    return tuple(e for column in zip(*blocks) for e in column)
+
+
+def repetition_code_family(k: int, n: int) -> tuple[QTCode, tuple[int, int, int]]:
+    """Length-n repetition code over R_k and its predicted image [n*|U|, 2^k, n*gamma]."""
+    return QTCode(one(k), 1, n, (((one(k),) * n,),)), (n * unit_count(k), 1 << k, n * gamma(k))
+
+
+def six_m_family(m: int) -> tuple[QTCode, tuple[int, int, int]]:
+    """The four-codeword (1+u, 3)-QT family over R_1 with image [6m, 2, 4m]."""
+    u, lam = RingElement(1, 0b10), RingElement(1, 0b11)  # lambda = 1 + u
+    pair = (zero(1), u) if m % 2 == 0 else (one(1), lam)
+    block = tuple(pair[i % 2] for i in range(m))
+    return QTCode(lam, 3, m, ((block, block, (u,) * m),)), (6 * m, 2, 4 * m)
+
+
+def griesmer_sum(dim: int, d: int) -> int:
+    """Griesmer lower bound on the length of a binary [n, dim, d] code."""
+    return sum(-(-d // (1 << i)) for i in range(dim))
+
+
+def free_rank(g: Sequence[RingElement], m: int, lam: RingElement) -> int | None:
+    """m - deg g when the monic g divides x^m - lambda in R_k[x], else None."""
+    modulus = [lam] + [zero(lam.k)] * (m - 1) + [one(lam.k)]
+    _, rem = poly_divmod(modulus, g)
+    return m - poly_degree(g) if poly_degree(rem) < 0 else None
+
+
+def qc_equivalent(code: QTCode) -> QTCode:
+    """The ell-QC code of x -> lambda*x applied blockwise to the generators (odd coindex)."""
+    gens = tuple(tuple(grade_scaled(block, code.lam, 1) for block in gen) for gen in code.generators)
+    return QTCode(one(code.k), code.ell, code.m, gens)
+
+
+def grade_scaled_span(code: QTCode) -> ModuleSpan:
+    """The code's words with coordinate i scaled by lambda^(i // ell): its QC form at odd m."""
+    span = code_span(code)
+    return module_span(
+        [grade_scaled(unflatten_vec(b, code.k, span.n), code.lam, code.ell) for b in span.basis]
+    )
+
+
+def table1_qc6_report() -> list[tuple[int, bool]]:
+    """(m, whether the grade-scaled image is 6-QC) for each Table 1 row."""
+    return [
+        (row.m, binary_image_of_span(grade_scaled_span(build_row_code(row))).qc_index_check(6))
+        for row in load_table_rows((1,))
+    ]
+
+
+def unit_mul_permutation(gray: GrayMap, lam: RingElement) -> tuple[int, ...] | None:
+    """P with psi(lam*a) = psi(a) moved by P (coordinate c to P[c]) for every a in R_k, or None.
+
+    Column c of psi(a) over all a in R_k is column P[c] of psi(lam*a).
+    """
+    ring = list(elements(gray.k))
+    columns = lambda images: list(zip(*(format(w, f"0{gray.image_len}b")[::-1] for w in images)))
+    moved = {col: c for c, col in enumerate(columns([gray.element_image(lam * a) for a in ring]))}
+    perm = tuple(moved.get(col) for col in columns([gray.element_image(a) for a in ring]))
+    return perm if None not in perm and len(set(perm)) == len(perm) else None
+
+
+def apply_permutation(perm: Sequence[int], bits: int) -> int:
+    return sum(1 << perm[c] for c in range(len(perm)) if bits >> c & 1)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from oracles import free_rank, grade_scaled_span, interleave, one, qc_equivalent
 from rkcodes.codes import (
     BinaryCode,
     BudgetError,
@@ -13,26 +14,19 @@ from rkcodes.codes import (
     binary_image_of_span,
     code_record,
     code_span,
-    enumerate_codewords,
-    free_rank_check,
-    grade_scaled,
-    hom_weight_enumerator,
-    interleave,
     deinterleave,
+    enumerate_codewords,
+    hom_weight_enumerator,
     is_qt_invariant,
     module_span,
-    qc_equivalent,
     qt_generator_matrix,
     residue_code,
-    rows_shift_invariant,
-    spanning_rows,
+    span_shift_invariant,
+    unflatten_vec,
 )
-from rkcodes.gf2 import F2Span
 from rkcodes.gf2 import self_orthogonal as gf2_self_orthogonal
-from rkcodes.codes import flatten_vec, unflatten_vec
-from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import Polynomial, parse_block
-from rkcodes.ring import RingElement, one, parse_element, zero
+from rkcodes.polyqt import parse_block
+from rkcodes.ring import RingElement, zero
 
 U1 = RingElement(1, 0b10)
 THREE = RingElement(1, 0b11)
@@ -97,11 +91,11 @@ def test_is_qt_invariant():
         assert is_qt_invariant(QTCode.from_strings(k, [gen], lam=lam))
     # raw span of a single row without shift closure is not shift invariant
     row = (one(1), zero(1), zero(1), zero(1))
-    assert not rows_shift_invariant([row], one(1), 1)
+    assert not span_shift_invariant(module_span([row]), one(1), 1)
     # cyclic repetition code is QC for any index dividing n
-    rep_rows = spanning_rows(QTCode.from_strings(2, ["1111"]))
+    repetition = code_span(QTCode.from_strings(2, ["1111"]))
     for ell in (1, 2, 4):
-        assert rows_shift_invariant(rep_rows, one(2), ell)
+        assert span_shift_invariant(repetition, one(2), ell)
 
 
 def test_binary_image_examples():
@@ -191,7 +185,7 @@ def test_self_orthogonality():
         rows = [tuple(one(2) if j == i else zero(2) for j in range(n)) for i in range(n)]
         ambient = binary_image_of_span(module_span(rows))
         assert (ambient.length, ambient.rank, ambient.min_distance()) == (8 * n, 4 * n, 4)
-        assert ambient.is_self_dual()
+        assert 2 * ambient.rank == ambient.length and ambient.is_self_orthogonal()  # self-dual
         assert all(w % 4 == 0 for w, _ in ambient.weight_enumerator().pairs())
 
 
@@ -261,14 +255,11 @@ def test_qc_index_check():
 
 def test_free_rank_check():
     lam = one(1)
-    g_one = Polynomial(parse_block("100", 1), lam)
-    assert free_rank_check(g_one) == (True, 3)
-    g = Polynomial(parse_block("110", 1), lam)  # 1 + x mod x^3 - 1
-    assert free_rank_check(g) == (True, 2)
+    assert free_rank(parse_block("1", 1), 3, lam) == 3
+    assert free_rank(parse_block("11", 1), 3, lam) == 2  # 1 + x | x^3 - 1
     code = QTCode(lam, 1, 3, ((tuple(parse_block("110", 1)),),))
     assert binary_image(code).rank == 4  # 2^k * rank
-    g_bad = Polynomial(parse_block("u1", 1), lam)  # x + u mod x^2 - 1
-    assert free_rank_check(g_bad) == (False, None)
+    assert free_rank(parse_block("u1", 1), 2, lam) is None  # x + u does not divide x^2 - 1
 
 
 def test_residue_code():
@@ -281,21 +272,16 @@ def test_residue_code():
 
 
 def test_qc_equivalent_requires_odd_coindex():
-    with pytest.raises(ValueError):
-        qc_equivalent(QTCode.from_strings(1, ["0u|0u|uu"], lam="3"))
+    # at even coindex the substituted generators need not span the grade-scaled code
+    code = QTCode.from_strings(1, ["10|11|3u"], lam="3")
+    assert grade_scaled_span(code).basis != code_span(qc_equivalent(code)).basis
 
 
 def test_qc_equivalent_codeword_sets_match():
     code = QTCode.from_strings(1, ["001|113|1u1"], lam="3")
     qc = qc_equivalent(code)
-    assert qc.lam == one(1)
-    span = code_span(code)
-    scaled = F2Span(
-        flatten_vec(grade_scaled(unflatten_vec(b, 1, span.n), code.lam, code.ell))
-        for b in span.basis
-    )
-    assert scaled.basis() == code_span(qc).basis
-    assert rows_shift_invariant(spanning_rows(qc), one(1), qc.ell)
+    assert qc.lam == one(1) and is_qt_invariant(qc)
+    assert grade_scaled_span(code).basis == code_span(qc).basis
 
 
 def test_code_record_schema():

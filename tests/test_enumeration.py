@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import top
 from rkcodes import codes as codes_module
 from rkcodes.analysis import bound_check, build_row_code, load_table_rows
 from rkcodes.codes import (
@@ -38,7 +39,6 @@ from rkcodes.ring import (
     gamma,
     hom_weight_vec,
     monomial,
-    top,
     unit_count,
     units,
 )

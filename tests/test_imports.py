@@ -8,7 +8,10 @@ behind; these guards find them with the standard library's ast module
 alone.  An import counts as used when it appears as a Name node (attribute
 access such as json.dumps included) or is listed in the module's __all__.
 A private definition counts as used when its name appears as a Name or an
-attribute outside its own definition, in any module of the package.  The
+attribute outside its own definition, in any module of the package.  A
+public one counts as used the same way, or when a module under perfbench/
+names it or the package's __all__ lists it, so code that only the tests
+reach lives under tests/ (oracles.py), not in the package.  The
 package has no dependencies: numpy, hypothesis and pytest are installed for
 the tests only, so a kernel that imports one would break a plain install.
 Error messages reach CLI users as "error: ..." lines, so the literal text
@@ -33,6 +36,7 @@ import pytest
 
 SOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "rkcodes"
 MODULES = sorted(SOURCE_DIR.glob("*.py"))
+BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,28 +50,54 @@ def unused_imports(source: str) -> list[str]:
             imported.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
-    return sorted(imported - used)
+    return sorted(imported - used - _listed_in_all(tree))
 
 
-def unused_private_defs(sources: dict[str, str]) -> list[str]:
-    """'module:name' of every module-level _private def or class no other statement names."""
-    defined: list[tuple[str, str]] = []
-    used: set[str] = set()
+def _listed_in_all(tree: ast.AST) -> set[str]:
+    """The names that an __all__ assignment in the tree lists."""
+    return {
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every Name and attribute name in the tree."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def unreferenced_defs(sources: dict[str, str], callers: dict[str, str] | None = None) -> list[str]:
+    """'module:name' of every module-level def or class, dunders aside, that no other statement
+    of the package, no caller module and not the package's __all__ (in __init__) names.
+
+    The scan goes by name, so a local variable of the same name hides a def,
+    and methods are not checked.
+    """
+    defined: list[str] = []
+    used = _listed_in_all(ast.parse(sources.get("__init__", "")))
+    for source in (callers or {}).values():
+        used |= _names(ast.parse(source))
     for module, source in sources.items():
         for stmt in ast.parse(source).body:
             own = None
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = stmt.name
-                if own.startswith("_") and not own.startswith("__"):
-                    defined.append((module, own))
-            names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name)}
-            names |= {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
-            used |= names - {own}  # a recursive call is not a use
-    return sorted(f"{module}:{name}" for module, name in defined if name not in used)
+                if not own.startswith("__"):
+                    defined.append(f"{module}:{own}")
+            used |= _names(stmt) - {own}  # a recursive call is not a use
+    return sorted(d for d in defined if d.partition(":")[2] not in used)
+
+
+def unused_private_defs(sources: dict[str, str]) -> list[str]:
+    return [d for d in unreferenced_defs(sources) if ":_" in d]
+
+
+def uncalled_public_defs(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    return [d for d in unreferenced_defs(sources, callers) if ":_" not in d]
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -151,6 +181,35 @@ def test_guard_finds_unused_private_defs():
 def test_no_unused_private_defs():
     sources = {path.stem: path.read_text() for path in MODULES}
     assert unused_private_defs(sources) == []
+
+
+def test_guard_finds_test_only_public_defs():
+    sources = {
+        "a": (
+            "def used(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Orphan: pass\n"
+            "def exported(): pass\n"
+            "def benched(): pass\n"
+            "def _private(): return used()\n"
+            "def listed_in_a_module_all(): pass\n"
+            "__all__ = ['listed_in_a_module_all']\n"
+        ),
+        "b": "import a\nx = a.via_attribute\ndef via_attribute(): pass\n"
+              "from a import imported_only\ndef imported_only(): pass\n",
+        "__init__": "__all__ = ['exported']\n",
+    }
+    callers = {"bench": "from a import benched\nbenched()\n"}
+    assert uncalled_public_defs(sources, callers) == [
+        "a:Orphan", "a:listed_in_a_module_all", "a:recursive", "b:imported_only",
+    ]
+
+
+def test_no_test_only_public_defs():
+    sources = {path.stem: path.read_text() for path in MODULES}
+    callers = {path.stem: path.read_text() for path in sorted(BENCH_DIR.glob("*.py"))}
+    assert callers
+    assert uncalled_public_defs(sources, callers) == []
 
 
 def _literal_text(node: ast.expr) -> str:

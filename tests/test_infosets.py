@@ -17,6 +17,7 @@ from typing import Callable
 
 import pytest
 
+from oracles import unit_mul_permutation
 from rkcodes import codes as codes_module
 from rkcodes import gf2
 from rkcodes.analysis import _BlockParts, build_row_code, load_table_rows
@@ -304,9 +305,9 @@ def test_min_weight_and_counts_on_a_coset(rank):
 
 
 def image_permutations(k: int) -> list[tuple[int, ...]]:
-    """GrayMap.unit_mul_permutation of every unit of R_k."""
+    """The Gray coordinate permutation of every unit of R_k, by column match over R_k."""
     gray = GrayMap(k)
-    return [gray.unit_mul_permutation(u) for u in units(k)]
+    return [unit_mul_permutation(gray, u) for u in units(k)]
 
 
 def coordinate_permutation(perm: tuple[int, ...], n: int) -> Callable[[int], int]:

@@ -2,11 +2,12 @@
 
 The oracles below are the implementations the flat-int code replaced:
 module spans by RingElement multiplication, twisted shifts (in spanning
-rows and in the shift-invariance check) by polyqt.shift_n, Gray images by
-GrayMap.image on every codeword, residue words by the residue of every
-RingElement, and the search orbit check on formatted generator strings.  Search builds codes straight from digit tuples, so the
-QTCode it used to build per candidate, and the base-2^(2^k) decode of a
-tuple index, are oracles too.
+rows and in the shift-invariance check) by oracles.shift_n, one
+polyqt.shift at a time, Gray images by GrayMap.image on every codeword,
+residue words by the residue of every RingElement, and the search orbit
+check on formatted generator strings.  Search builds codes straight from
+digit tuples, so the QTCode it used to build per candidate, and the
+base-2^(2^k) decode of a tuple index, are oracles too.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import interleave, shift_n
 from rkcodes import analysis
 from rkcodes.analysis import (
     SearchConfig, _BlockParts, _draw_digits, _evaluate_chunk, _orbit_min_string
@@ -29,16 +31,15 @@ from rkcodes.codes import (
     code_span,
     flatten_vec,
     generator_rows,
-    interleave,
     module_span,
     qt_generator_matrix,
     residue_word,
-    rows_shift_invariant,
+    span_shift_invariant,
     spanning_rows,
 )
 from rkcodes.gf2 import F2Span
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import format_generator, shift, shift_n
+from rkcodes.polyqt import format_generator, shift
 from rkcodes.ring import RingElement, elements, parse_element, units
 
 
@@ -155,7 +156,7 @@ def test_rows_shift_invariant_matches_shift_n(k):
         else:
             rows = [random_vec(rng, k, ell * m) for _ in range(rng.randint(1, 2))]
         for steps in range(1, ell * m + 1):
-            got = rows_shift_invariant(rows, lam, steps)
+            got = span_shift_invariant(module_span(rows), lam, steps)
             assert got == oracle_rows_shift_invariant(rows, lam, steps), (rows, lam, steps)
             outcomes.add(got)
     assert outcomes == {True, False}
@@ -173,8 +174,8 @@ def test_rows_shift_invariant_rejects_bad_twist_or_shift():
         (RingElement(2, 1), 4),
     ]:
         with pytest.raises(ValueError):
-            rows_shift_invariant([row], lam, steps)
-    assert rows_shift_invariant([row], RingElement(2, 1), 3)
+            span_shift_invariant(module_span([row]), lam, steps)
+    assert span_shift_invariant(module_span([row]), RingElement(2, 1), 3)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

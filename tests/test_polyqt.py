@@ -8,21 +8,19 @@ from hypothesis import strategies as st
 
 from rkcodes.polyqt import (
     Polynomial,
-    divides_modulus,
     format_block,
     format_generator,
     is_monic,
     lambda_substitute,
-    modulus_poly,
     parse_block,
     parse_generator,
     poly_degree,
     poly_divmod,
     shift,
-    shift_n,
     twistulant,
 )
-from rkcodes.ring import NOTATIONS, RingElement, elements, one, parse_element, zero
+from oracles import free_rank, one, shift_n
+from rkcodes.ring import NOTATIONS, RingElement, elements, parse_element, zero
 
 LAM1 = one(1)
 THREE = RingElement(1, 0b11)  # 1+u
@@ -86,13 +84,13 @@ def test_poly_mul_times_x_is_shift():
             lam = RingElement(k, lam_word)
             for m in range(1, 9):
                 coeffs = tuple(RingElement(k, rng.randrange(1 << (1 << k))) for _ in range(m))
-                f = Polynomial(coeffs, lam)
-                assert f.times_x().coeffs == shift(coeffs, lam)
+                x = (lam,) if m == 1 else (zero(k), one(k)) + (zero(k),) * (m - 2)
+                assert (Polynomial(x, lam) * Polynomial(coeffs, lam)).coeffs == shift(coeffs, lam)
 
 
 def test_poly_divmod_examples():
     g = parse_block("11", 1)  # 1 + x
-    q, r = poly_divmod(modulus_poly(3, LAM1), g)
+    q, r = poly_divmod(parse_block("1001", 1), g)  # x^3 - 1
     assert [c.coeffs for c in q] == [1, 1, 1]  # x^2 + x + 1
     assert poly_degree(r) == -1
     f = parse_block("1u1", 1)
@@ -103,7 +101,7 @@ def test_poly_divmod_examples():
     assert tuple(q) == f
     assert poly_degree(r) == -1
     # x^2 - 1 = (x + u) q + 1: not a divisor
-    q, r = poly_divmod(modulus_poly(2, LAM1), parse_block("u1", 1))
+    q, r = poly_divmod(parse_block("101", 1), parse_block("u1", 1))
     assert [c.coeffs for c in r] == [1]
 
 
@@ -135,9 +133,9 @@ def test_poly_divmod_requires_monic():
 
 
 def test_divides_modulus():
-    assert divides_modulus(parse_block("11", 1), 3, LAM1)
-    assert not divides_modulus(parse_block("u1", 1), 2, LAM1)
-    assert divides_modulus(parse_block("1", 1), 5, THREE)
+    assert free_rank(parse_block("11", 1), 3, LAM1) == 2
+    assert free_rank(parse_block("u1", 1), 2, LAM1) is None
+    assert free_rank(parse_block("1", 1), 5, THREE) == 5
 
 
 def test_lambda_substitute_examples():
