@@ -10,6 +10,8 @@ int.bit_count and so shares no counting code with it.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -17,6 +19,7 @@ from collections import Counter
 import pytest
 
 from rkcodes import codes as codes_module
+from rkcodes.analysis import bound_check
 from rkcodes.codes import QTCode, _weight_table, binary_image, code_span, hom_weight_enumerator
 from rkcodes.gf2 import LOW_ROWS, F2Span, packed_counts, packed_min, packed_weights, span_iter
 from rkcodes.ring import RingElement, gamma
@@ -101,3 +104,69 @@ def test_a_wrong_byte_table_shows_against_the_image_enumerator(k, generator, mon
     codes_module.last_code.reset()
     assert hom_weight_enumerator(code) != image
     codes_module.last_code.reset()
+
+
+def multi_block_codes() -> list[QTCode]:
+    """Codes whose spans pass one block: three README codes over R_2, the 130-coordinate
+    R_1 code of test_hom_weight_enumerator_past_one_byte_of_weight, and 20 random
+    [80,16..18] codes over R_2 (ell = 2, m = 5) in draw order."""
+    named = [QTCode.from_strings(2, gens.split(","))
+             for gens in ("010b8|4550c", "f7b77|e90d3", "ea6e2|8c60c,e2cc0|ae068")]
+    rng = random.Random(130)
+    named.append(QTCode.from_strings(1, ["|".join(rng.choice("01u3") for _ in range(130))
+                                         for _ in range(6)]))
+    rng = random.Random(80)
+    wanted, drawn = {16: 6, 17: 7, 18: 7}, []
+    while any(wanted.values()):
+        blocks = ("".join(rng.choice("0123456789abcdef") for _ in range(5)) for _ in range(2))
+        code = QTCode.from_strings(2, ["|".join(blocks)])
+        rank = code_span(code).rank
+        if wanted.get(rank):
+            wanted[rank] -= 1
+            drawn.append(code)
+    return named + drawn
+
+
+# sha256 of the JSON of [hom_weight_enumerator pairs, bound_check warm, bound_check cold]
+# for each of multi_block_codes(), recorded before the kernel's one-weight-per-word form
+PINNED_MULTI_BLOCK = [
+    "b22e5e5811447eddd9f7b4b770b559d3aad86765e96bc4d0bd6203b91329f87c",
+    "3aba6d3c3e7b340faf64b60fce3a293799ea1a013daef4265d5c62b58bb78a4b",
+    "310f6fcf13fb7b0bbc3f2d092f0ec21c37b5ee1ad9e3e4f9da8fd73af01190f2",
+    "9eae567af356a724d5f0e404d1f5b47fa426934b061173835503556c8d64ccf4",
+    "df37b8971f3ddbe93865c7ac57f4618b238d474c14129a17e66e263511fcaa80",
+    "4ee6bcf43a14ea1acefa301b2ebb187c344c8b6e1fcdd6ba946c46d04a1c93e3",
+    "9b3f5ad94487666b185514a12e24536a7445fe5b43afb91976817d5f34084b12",
+    "9127b7cc3e6192a8468c7959e23c8e535ee20bc1a977c5f48fbeafea2da9caa8",
+    "7dc4299ac445aa273fa9cf1335f9c43299f27d6f246873c4f89114154e8292de",
+    "768e471e41b2aea95a134f79830eba9ef7bbda5dfbefe3d416c39fb1a2db581e",
+    "ceb165b1b6f9ea84c6c4be9e1a67fa44456c5348caf414ef868c15ce939c30d4",
+    "4c30abc6136340a4c8d461f1cbc9b5fabade7dc16a56439dc2c5b878f6e473f6",
+    "43bd2fa8b184a9643dcb1d32f159c8c5b7e32cbad679de3469d00741f30af06e",
+    "4782cc4e192238ca9b34629b5cd441cb8636ee6881e57dd04308ebfc94d44f21",
+    "cff70f6aeb414fe76d58b2143fd0c34e804fec1f23cc96848b43b71e5256408a",
+    "6b2424d211215abcca8dcdaa88b5946cd3236e308f4688c95f44a9de1f822826",
+    "6a7e2c8f9fd6fa5176990e675f70aa3817e947f245156ddf57e30b369ff28a68",
+    "d5cbfa0b265713903321afaa3f60e61e10caceeea2692b9586ed1cb09db0cc73",
+    "b410b1692e49b9ee01e51db2c7720c3ee1de1d543ddd16a22497f0da9ea57ff1",
+    "bd5a49a2fabc92a237db0345dbef3bf3045c1a70433636236321fa677fe066e1",
+    "c3a537cc55dd425e874ec098e092abee2dfbe19c0c03bedd4596619fda5f7aad",
+    "a259f96994f124cde2ab564e998ceed4c76fed9268beac885553ae4601f8010b",
+    "fc86f4ac2f1affdd77315e20dcf778779fb1cfe8247c9b3b270a3ab556fbfc91",
+    "75bdf6410ddcdd2134982ea39a9e223cf7a42ed87880d778be5cf8ffc7f78fa8",
+]
+
+
+def test_multi_block_outputs_pinned():
+    codes = multi_block_codes()
+    assert all(code_span(code).rank > LOW_ROWS for code in codes)
+    digests = []
+    for code in codes:
+        codes_module.last_code.reset()
+        hom = hom_weight_enumerator(code).pairs()
+        warm = bound_check(code)
+        codes_module.last_code.reset()
+        cold = bound_check(code)
+        blob = json.dumps([hom, warm, cold], sort_keys=True).encode()
+        digests.append(hashlib.sha256(blob).hexdigest())
+    assert digests == PINNED_MULTI_BLOCK
