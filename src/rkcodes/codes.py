@@ -17,10 +17,10 @@ holds whole coordinates, and a row is mapped byte by byte through a
 Homogeneous weights are counted on the ring side, independently of the
 Gray map: w(x) = #{u in U : chi(u*x) = -1} is the popcount of
 ring.character_table's entry x, so for k <= K_MAX each byte of a flat word
-has a fixed weight (_weight_table), and gf2.packed_weights weighs a span
-of flat words a block at a time.  The weight is invariant under the unit
-group U, and only the unit 1 fixes a word outside the residue kernel.  So
-an R_k-module is weighed as its residue kernel plus one word of each unit
+has a fixed weight (_weight_table), and gf2.packed_weights makes each
+block of a span one weight byte per word.  The weight is invariant under the
+unit group U, and only the unit 1 fixes a word outside the residue kernel.
+So an R_k-module is weighed as its residue kernel plus one word of each unit
 orbit outside it, each counted |U| times (hom_split; hom_minima walks the
 same words for minima only).  Inside the kernel the units 1 + u_j fix more
 words, so it is weighed one word per pair y, (1+u_j)*y of distinct words,
@@ -108,10 +108,7 @@ def _check_budget(rank: int, budget: int) -> None:
 def flatten_vec(vec: Sequence[RingElement]) -> int:
     """Pack a ring vector into an int, 2^k bits per coordinate."""
     bits = 1 << vec[0].k
-    out = 0
-    for i, e in enumerate(vec):
-        out |= e.coeffs << (i * bits)
-    return out
+    return sum(e.coeffs << (i * bits) for i, e in enumerate(vec))
 
 
 def unflatten_vec(flat: int, k: int, n: int) -> RingVec:
@@ -344,8 +341,7 @@ class WeightEnumerator:
         return sum(self._counts.values())
 
     def min_nonzero(self) -> int | None:
-        nz = [w for w in self._counts if w > 0]
-        return min(nz) if nz else None
+        return min((w for w in self._counts if w > 0), default=None)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, WeightEnumerator):
@@ -356,15 +352,8 @@ class WeightEnumerator:
         return f"WeightEnumerator({dict(self.pairs())})"
 
     def __str__(self) -> str:
-        terms = []
-        for w, c in self.pairs():
-            if w == 0:
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(f"z^{w}")
-            else:
-                terms.append(f"{c}z^{w}")
-        return " + ".join(terms) if terms else "0"
+        terms = (str(c) if w == 0 else f"{c if c > 1 else ''}z^{w}" for w, c in self.pairs())
+        return " + ".join(terms) or "0"
 
 
 @dataclass(frozen=True)
@@ -535,15 +524,15 @@ def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
     weight, and halves(rows, cut), the counts of the first cut words of a one-block span's
     walk and of the rest.
 
-    For k <= K_MAX gf2.packed_weights weighs the words, but a span's least
+    For k <= K_MAX the gf2 packed kernel weighs the words, but a span's least
     (start = 0: a residue kernel, a module) is its module_image's minimum
     distance, as information sets need Hamming weights; wider words weigh RingElements.
     """
     if k <= K_MAX:
         table, g, nbytes = _weight_table(k), gamma(k), ((n << k) + 7) >> 3
 
-        def scaled(tally: list[int]) -> dict[int, int]:
-            return {g * w: c for w, c in enumerate(tally) if c}
+        def scaled(tally: Mapping[int, int]) -> dict[int, int]:
+            return {g * w: c for w, c in tally.items()}
 
         return (
             lambda rows, start=0: scaled(packed_counts(rows, table, nbytes, start)),

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import Counter
 from functools import lru_cache, partial, reduce
 from itertools import chain, islice
 from math import comb
-from operator import add, or_
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 LOW_ROWS = 10  # span_blocks blocks hold 2^LOW_ROWS words
@@ -135,73 +137,86 @@ def span_min_weight(
 
 
 @lru_cache(maxsize=256)
-def _lanes(table: bytes, nbytes: int) -> tuple[bytes, ...]:
-    """The lane of each weight packed_weights can give, up to nbytes * max(table):
-    c bytes of 7 bits, bit 7 set in the first, for the least c that holds them all."""
-    c = max(1, -(-(nbytes * max(table)).bit_length() // 7))
-    return tuple(
-        (sum((w >> 7 * j & 0x7F) << 8 * j for j in range(c)) | 0x80).to_bytes(c, "little")
-        for w in range(nbytes * max(table) + 1)
-    )
+def _lane(table: bytes, nbytes: int) -> tuple[int, int, str]:
+    """(top, c, typecode): nbytes * max(table), and the first of B, H, I, Q (c bytes) to hold it."""
+    top = nbytes * max(table)
+    code = next(t for t in "BHIQ" if top >> 8 * array(t).itemsize == 0)
+    return top, array(code).itemsize, code
 
 
-def packed_weights(
-    basis: Sequence[int], table: bytes, nbytes: int, start: int = 0
-) -> Iterator[bytes]:
-    """The words start ^ span(basis), weighed a block at a time.
+def packed_weights(basis: Sequence[int], table: bytes, nbytes: int, start: int = 0) -> Iterator:
+    """The weight of each word of start ^ span(basis), a block of span_blocks at a time.
 
     A word is nbytes bytes and weighs the sum of table[b] over its bytes b.
-    Each block of span_blocks is one packed int, word j at byte j*nbytes:
-    the first built by doubling, each other its XOR with h * repunit, h a
-    combination of the other rows (span_iter).  It goes to bytes, through
-    table, and its byte columns, widened to the lanes of _lanes, are summed
-    as ints: block.count(_lanes(table, nbytes)[w]) counts its words of
-    weight w, as no match straddles two lanes.
+    A block is one packed int, word j at byte j*nbytes: the first built by
+    doubling, each other its XOR with h * repunit, h a combination of the
+    other rows (span_iter).  It goes to bytes and through table, and the
+    ints of its nbytes byte columns, each byte widened to c bytes (_lane),
+    are summed once.  So a block comes back as bytes, one weight per word
+    in span_blocks' order, or past one byte as an array of c-byte ints.
     """
-    c = len(_lanes(table, nbytes)[0])
+    _, c, code = _lane(table, nbytes)
     packed, rep, words = start, 1, 1
     for row in basis[:LOW_ROWS]:
         packed |= (packed ^ row * rep) << words * nbytes * 8
         rep |= rep << words * nbytes * 8
         words *= 2
-    lane = ((1 << words * c * 8) - 1) // ((1 << c * 8) - 1)
     wide = bytearray(words * c)
     high = [row * rep for row in basis[LOW_ROWS:]]
     for block in (packed ^ h for h in span_iter(high)) if high else (packed,):
         weights = block.to_bytes(words * nbytes, "little").translate(table)
         total = 0
         for i in range(nbytes):
-            wide[::c] = weights[i::nbytes]
-            total += int.from_bytes(wide, "little")
-        coded = 0x80 * lane  # each lane's 7-bit digits, bit 7 set in its first byte
-        for j in range(c):
-            coded |= (total >> 7 * j & 0x7F * lane) << 8 * j
-        yield coded.to_bytes(words * c, "little")
+            if c > 1:
+                wide[::c] = weights[i::nbytes]
+            total += int.from_bytes(wide if c > 1 else weights[i::nbytes], "little")
+        lanes = total.to_bytes(words * c, "little")
+        if c > 1:
+            lanes = array(code, lanes)
+            if sys.byteorder == "big":
+                lanes.byteswap()
+        yield lanes
 
 
-def packed_counts(basis: Sequence[int], table: bytes, nbytes: int, start: int = 0) -> list[int]:
-    """Entry w: how many words of start ^ span(basis) weigh w, by packed_weights."""
-    patterns = _lanes(table, nbytes)
-    tally = [0] * len(patterns)
+# _ONE_HOT[g] takes weight 8*g + j to the byte 1 << j; _BIT_PLANES[j] is bit j of every byte
+_ONE_HOT = [bytes(8 * g) + bytes(1 << j for j in range(8)) + bytes(248 - 8 * g) for g in range(32)]
+_BIT_PLANES = [int.from_bytes(bytes([1 << j]) * (1 << LOW_ROWS), "little") for j in range(8)]
+
+
+def _tally(weights: bytes | array, top: int) -> dict[int, int]:
+    """Weight -> count over a block of packed_weights or a slice of one.  In bytes, memchr
+    finds the weights present, and each is counted as a popcount of one bit plane of the
+    block through _ONE_HOT, as bytes.count branches on each byte and mispredicts."""
+    if not isinstance(weights, bytes):
+        return Counter(weights)
+    present = list(filter(weights.__contains__, range(top + 1)))
+    groups = {w >> 3 for w in present}
+    hot = {g: int.from_bytes(weights.translate(_ONE_HOT[g]), "little") for g in groups}
+    return {w: (hot[w >> 3] & _BIT_PLANES[w & 7]).bit_count() for w in present}
+
+
+def packed_counts(basis: Sequence[int], table: bytes, nbytes: int, start: int = 0) -> Counter:
+    """Weight -> count over the words of start ^ span(basis), by packed_weights."""
+    counts: Counter = Counter()
     for block in packed_weights(basis, table, nbytes, start):
-        tally = list(map(add, tally, map(block.count, patterns)))
-    return tally
+        counts.update(_tally(block, _lane(table, nbytes)[0]))
+    return counts
 
 
-def packed_split(basis: Sequence[int], table: bytes, nbytes: int, cut: int) -> list[list[int]]:
-    """packed_counts of the first cut words of a one-block span(basis) and of the rest,
-    in span_blocks' word order."""
-    patterns = _lanes(table, nbytes)
-    block = next(packed_weights(basis, table, nbytes))
-    cut *= len(patterns[0])
-    return [list(map(part.count, patterns)) for part in (block[:cut], block[cut:])]
+def packed_split(basis: Sequence[int], table: bytes, nbytes: int, cut: int) -> tuple[dict, dict]:
+    """packed_counts of the first cut words of a one-block span(basis) and of the rest."""
+    block, top = next(packed_weights(basis, table, nbytes)), _lane(table, nbytes)[0]
+    return _tally(block[:cut], top), _tally(block[cut:], top)
 
 
 def packed_min(basis: Sequence[int], table: bytes, nbytes: int, start: int) -> int:
-    """Least weight of the words start ^ span(basis), by packed_weights."""
-    patterns = _lanes(table, nbytes)
-    blocks = packed_weights(basis, table, nbytes, start)
-    return min(patterns.index(next(filter(block.__contains__, patterns))) for block in blocks)
+    """Least weight of the words start ^ span(basis), by packed_weights: the first weight
+    present below the least so far, found by memchr in bytes."""
+    best = _lane(table, nbytes)[0]
+    for block in packed_weights(basis, table, nbytes, start):
+        present = (block if isinstance(block, bytes) else set(block)).__contains__
+        best = next(filter(present, range(best)), best)
+    return best
 
 
 def _systematic(basis: Sequence[int], columns: int) -> tuple[list[int], int] | None:
@@ -422,8 +437,4 @@ def str_to_bits(s: str) -> tuple[int, int]:
     s = s.strip()
     if not s or any(c not in "01" for c in s):
         raise ValueError(f"bad binary string {s!r}")
-    v = 0
-    for i, c in enumerate(s):
-        if c == "1":
-            v |= 1 << i
-    return v, len(s)
+    return int(s[::-1], 2), len(s)

@@ -14,14 +14,31 @@ import hashlib
 import json
 import random
 import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
 
 from rkcodes import codes as codes_module
 from rkcodes.analysis import bound_check
-from rkcodes.codes import QTCode, _weight_table, binary_image, code_span, hom_weight_enumerator
-from rkcodes.gf2 import LOW_ROWS, F2Span, packed_counts, packed_min, packed_weights, span_iter
+from rkcodes.codes import (
+    QTCode,
+    _weight_table,
+    binary_image,
+    code_span,
+    hom_minima,
+    hom_weight_enumerator,
+)
+from rkcodes.gf2 import (
+    LOW_ROWS,
+    F2Span,
+    packed_counts,
+    packed_min,
+    packed_split,
+    packed_weights,
+    span_blocks,
+    span_iter,
+)
 from rkcodes.ring import RingElement, gamma
 
 
@@ -52,20 +69,67 @@ def test_packed_weights_match_the_walk(nbytes):
             basis, table, start = random_case(rng, rank, nbytes, top)
             for begin in {0, start}:
                 walked = walked_weights(basis, table, nbytes, begin)
-                counts = packed_counts(basis, table, nbytes, begin)
-                assert len(counts) == nbytes * max(table) + 1
-                assert {w: c for w, c in enumerate(counts) if c} == walked, (rank, top, begin)
+                assert packed_counts(basis, table, nbytes, begin) == walked, (rank, top, begin)
                 assert packed_min(basis, table, nbytes, begin) == min(walked)
 
 
-def test_packed_weights_are_one_lane_per_word_block_by_block():
-    rng = random.Random(3)
-    basis, table, start = random_case(rng, LOW_ROWS + 2, 4, 255)
-    assert 32 <= max(table)  # weights from 128 to 1020: two bytes of 7 bits per lane
+def block_weights(basis, table: bytes, nbytes: int, start: int) -> list[list[int]]:
+    """Each block of span_blocks, each word weighed byte by byte."""
+    return [
+        [sum(table[b] for b in word.to_bytes(nbytes, "little")) for word in block]
+        for block in span_blocks(basis, start)
+    ]
+
+
+@pytest.mark.parametrize("top, lane", [(8, 1), (255, 2)])
+def test_packed_weights_are_one_weight_per_word_in_span_blocks_order(top, lane):
+    rng = random.Random(top)
+    basis, table, start = random_case(rng, LOW_ROWS + 2, 4, top)
     blocks = list(packed_weights(basis, table, 4, start))
-    assert len(blocks) == 4 and all(len(block) == 2 << LOW_ROWS for block in blocks)
-    for block in blocks:
-        assert min(block[::2]) >= 0x80 and max(block[1::2]) < 0x80
+    assert [list(block) for block in blocks] == block_weights(basis, table, 4, start)
+    assert len(blocks) == 4 and all(len(block) == 1 << LOW_ROWS for block in blocks)
+    if lane == 1:  # 4 * 8 = 32: one byte per word
+        assert all(isinstance(block, bytes) for block in blocks)
+    else:  # 4 * max(table) past 255: one 2-byte int per word
+        assert 4 * max(table) > 255
+        assert all(isinstance(block, array) and block.itemsize == 2 for block in blocks)
+
+
+def table_reaching(rng: random.Random, top: int, nbytes: int) -> tuple[list[int], bytes]:
+    """A basis of LOW_ROWS + 2 rows holding the word of nbytes 0xff bytes, and a table with
+    entries up to top whose entry 0xff is top: that word weighs nbytes * top, the most."""
+    span = F2Span([(1 << 8 * nbytes) - 1])
+    while span.rank < LOW_ROWS + 2:
+        span.add(rng.getrandbits(8 * nbytes))
+    table = bytearray(rng.randint(0, top) for _ in range(256))
+    table[0xFF] = top
+    return list(span.basis()), bytes(table)
+
+
+@pytest.mark.parametrize("nbytes, top", [(5, 51), (3, 85), (8, 32), (4, 64)])
+def test_packed_weights_at_the_edge_of_one_byte(nbytes, top):
+    # nbytes * top is 255 (one byte per word) or 256 (two bytes per word)
+    rng = random.Random(nbytes * top)
+    basis, table = table_reaching(rng, top, nbytes)
+    for start in (0, rng.getrandbits(8 * nbytes)):
+        walked = walked_weights(basis, table, nbytes, start)
+        assert max(walked) == nbytes * top or start
+        assert packed_counts(basis, table, nbytes, start) == walked
+        assert packed_min(basis, table, nbytes, start) == min(walked)
+        blocks = list(packed_weights(basis, table, nbytes, start))
+        assert [list(block) for block in blocks] == block_weights(basis, table, nbytes, start)
+        assert all(isinstance(block, bytes) == (nbytes * top == 255) for block in blocks)
+
+
+@pytest.mark.parametrize("nbytes, top", [(3, 8), (12, 8), (2, 255)])
+def test_packed_split_cuts_the_walk_of_one_block(nbytes, top):
+    rng = random.Random(nbytes + top)
+    for rank in (0, 1, 5, LOW_ROWS):
+        basis, table, _ = random_case(rng, rank, nbytes, top)
+        (weights,) = block_weights(basis, table, nbytes, 0)
+        for cut in sorted({0, 1, len(weights) // 3, len(weights) - 1, len(weights)}):
+            first, rest = packed_split(basis, table, nbytes, cut)
+            assert first == Counter(weights[:cut]) and rest == Counter(weights[cut:]), (rank, cut)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -89,6 +153,36 @@ def test_hom_weight_enumerator_memory_is_one_block():
         tracemalloc.stop()
     assert hom.total() == 1 << 20
     assert peak < 256 << 10  # 2^20 words: one byte each, joined, would be 1 MB
+
+
+def ring_length_80_code(rng: random.Random) -> QTCode:
+    """A code over R_2 of ring length 80 (ell = 20, m = 4) whose blocks are all multiples of
+    1 + x, one generator on {0, u1u2} and one on all of R_2: F2 rank 15, past one block."""
+    def generator(alphabet) -> str:
+        blocks = []
+        for _ in range(20):
+            a = [rng.choice(alphabet) for _ in range(4)]
+            blocks.append("".join(f"{a[i] ^ a[i - 1]:x}" for i in range(4)))  # (1 + x) * a
+        return "|".join(blocks)
+
+    return QTCode.from_strings(2, [generator((0, 8)), generator(range(16))])
+
+
+def test_ring_length_80_over_r2_above_one_block():
+    # 80 coordinates weigh up to 160 gamma: 161 possible weights, one byte per word
+    code = ring_length_80_code(random.Random(80))
+    span = code_span(code)
+    assert span.n == 80 and span.rank > LOW_ROWS + 2
+    coordinate = [RingElement(2, c).hom_weight() for c in range(16)]
+    residue = sum(1 << 4 * i for i in range(80))  # bit u_empty of each coordinate
+    inside, outside = Counter(), Counter()
+    for word in span_iter(span.basis):
+        weight = sum(coordinate[word >> 4 * i & 15] for i in range(80))
+        (outside if word & residue else inside)[weight] += 1
+    codes_module.last_code.reset()
+    assert hom_weight_enumerator(code).pairs() == tuple(sorted((inside + outside).items()))
+    _, d_kernel, d_nonkernel = hom_minima(2, 80, span.basis)
+    assert (d_kernel, d_nonkernel) == (min(w for w in inside if w), min(outside))
 
 
 @pytest.mark.parametrize("k, generator", [(1, "0u1u|u13u|3u01"), (2, "2461"), (2, "a7728|92452")])
