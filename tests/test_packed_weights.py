@@ -113,7 +113,8 @@ def test_packed_weights_at_the_edge_of_one_byte(nbytes, top):
     basis, table = table_reaching(rng, top, nbytes)
     for start in (0, rng.getrandbits(8 * nbytes)):
         walked = walked_weights(basis, table, nbytes, start)
-        assert max(walked) == nbytes * top or start
+        if not start:  # the span holds the heaviest word
+            assert max(walked) == nbytes * top
         assert packed_counts(basis, table, nbytes, start) == walked
         assert packed_min(basis, table, nbytes, start) == min(walked)
         blocks = list(packed_weights(basis, table, nbytes, start))
