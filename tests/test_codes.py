@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
 
 from oracles import free_rank, grade_scaled_span, interleave, one, qc_equivalent
+from rkcodes.analysis import build_row_code, load_table_rows
 from rkcodes.codes import (
     BinaryCode,
     BudgetError,
@@ -47,6 +50,37 @@ def test_qt_generator_matrix_display_form():
     # second row: each block twist-shifted once
     g = parse_block("1u", 1)
     assert rows[1][:2] == (THREE * g[1], g[0])
+
+
+def display_codes() -> list[QTCode]:
+    """The 45 fixture rows, then 30 seeded random QT codes at each of k = 1, 2, 3."""
+    codes = [build_row_code(row) for row in load_table_rows()]
+    rng = random.Random(11)
+    for k in (1, 2, 3):
+        size = 1 << (1 << k)
+        for _ in range(30):
+            lam = RingElement(k, rng.randrange(1, size, 2))
+            ell, m = rng.randint(1, 3), rng.randint(1, 5)
+            gens = tuple(
+                tuple(tuple(RingElement(k, rng.randrange(size)) for _ in range(m)) for _ in range(ell))
+                for _ in range(rng.randint(1, 2))
+            )
+            codes.append(QTCode(lam, ell, m, gens))
+    return codes
+
+
+# sha256 of the JSON of each display_codes() matrix's coefficient words, recorded
+# when qt_generator_matrix deinterleaved the span rows
+PINNED_DISPLAY_MATRICES = "9df36de73a2cce6202afdda7ec9b9db46110758c17904efb2105a89074f6ca60"
+
+
+def test_qt_generator_matrix_pinned():
+    matrices = [
+        [[e.coeffs for e in row] for row in qt_generator_matrix(code)] for code in display_codes()
+    ]
+    assert len(matrices) == 135
+    blob = json.dumps(matrices).encode()
+    assert hashlib.sha256(blob).hexdigest() == PINNED_DISPLAY_MATRICES
 
 
 def test_interleave_roundtrip():

@@ -141,6 +141,19 @@ def test_weight_table_matches_ring_weights_on_every_byte(k):
         assert _weight_table(k)[b] * gamma(k) == sum(e.hom_weight() for e in coords), (k, b)
 
 
+# sha256 of _weight_table(k), recorded from its build by character-table popcounts
+PINNED_WEIGHT_TABLES = {
+    1: "2a464c248c70f52f0818a03ebcad33242463185234fe87dc970407f7d4bf2063",
+    2: "361279b40d40b088e165f24fa196cdee0e452fdb19720f8cd6fb98258cb8c240",
+    3: "942d992f7cf3c7cc8563ad02e522d25f9ac880a9258edbef928de8752041d80c",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_weight_table_pinned(k):
+    assert hashlib.sha256(_weight_table(k)).hexdigest() == PINNED_WEIGHT_TABLES[k]
+
+
 def test_hom_weight_enumerator_memory_is_one_block():
     # rank 20 inside the maximal ideal: the residue kernel is the whole span
     code = QTCode.from_strings(2, ["ea6e2|8c60c", "e2cc0|ae068"])
