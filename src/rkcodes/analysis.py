@@ -201,8 +201,7 @@ class SearchConfig:
             raise ValueError("need at least one coindex value")
         if self.ell < 1 or min(self.m_values) < 1:
             raise ValueError("index ell and coindex m must be positive")
-        if self.budget < 0:
-            raise ValueError(f"--budget must be at least 0, got {self.budget}")
+        _check_budget(0, self.budget)  # a negative budget is a usage error
         if self.mode == "random" and self.samples < 1:
             raise ValueError("random search needs at least one sample")
         if not parse_element(self.lam, self.k, self.notation).is_unit:

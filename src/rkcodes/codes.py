@@ -15,10 +15,10 @@ holds whole coordinates, and a row is mapped byte by byte through a
 256-entry table built once per k.
 
 Homogeneous weights are counted on the ring side, independently of the
-Gray map: w(x) = #{u in U : chi(u*x) = -1} is the popcount of
-ring.character_table's entry x, so for k <= K_MAX each byte of a flat word
-has a fixed weight (_weight_table), and gf2.packed_weights makes each
-block of a span one weight byte per word.  The weight is invariant under the
+Gray map: for k <= K_MAX each byte of a flat word holds whole coordinates,
+so it has a fixed weight, the closed form hom_weight_vec of its coordinates
+(_weight_table), and gf2.packed_weights makes each block of a span one
+weight byte per word.  The weight is invariant under the
 unit group U, and only the unit 1 fixes a word outside the residue kernel.
 So an R_k-module is weighed as its residue kernel plus one word of each unit
 orbit outside it, each counted |U| times (hom_split; hom_minima walks the
@@ -45,9 +45,9 @@ global twisted shift T_lambda^ell acts as per-block multiplication by x,
 so codes built from twistulant generators are literally T_lambda^ell
 invariant and their binary images are literally (image_len * ell)-QC when
 lambda = 1, and search sums a candidate's module_image_words from its
-blocks' (analysis._BlockParts).  qt_generator_matrix returns the
-block-concatenated display form of the same rows, which differs from the
-span rows by the perfect-shuffle column permutation only.
+blocks' (analysis._BlockParts).  qt_generator_matrix returns the display
+form of the same rows, the twistulant of each block side by side, which
+differs from the span rows by the perfect-shuffle column permutation only.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ from rkcodes.polyqt import (
     format_generator,
     parse_element,
     parse_generator,
+    twistulant,
 )
 from rkcodes.ring import (
     K_MAX,
     RingElement,
-    character_table,
     format_element,
     gamma,
     hom_weight_vec,
@@ -243,11 +243,6 @@ class QTCode:
         return [format_generator(gen, notation) for gen in self.generators]
 
 
-def deinterleave(vec: Sequence[RingElement], ell: int) -> tuple[RingVec, ...]:
-    m = len(vec) // ell
-    return tuple(tuple(vec[i * ell + b] for i in range(m)) for b in range(ell))
-
-
 def generator_rows(k: int, lam: int, ell: int, m: int, words: Sequence[int]) -> list[int]:
     """The m flat interleaved rows x^i * g, i.e. T_lambda^(i*ell) g, of one generator tuple g.
 
@@ -267,14 +262,13 @@ def _flat_rows(code: QTCode) -> list[int]:
     return rows
 
 
-def spanning_rows(code: QTCode) -> tuple[RingVec, ...]:
-    """m interleaved rows per generator tuple: x^i times the generator."""
-    return tuple(unflatten_vec(flat, code.k, code.n) for flat in _flat_rows(code))
-
-
 def qt_generator_matrix(code: QTCode) -> tuple[RingVec, ...]:
     """Display form [G_1 | G_2 | ... | G_ell] with twistulant blocks."""
-    return tuple(sum(deinterleave(row, code.ell), ()) for row in spanning_rows(code))
+    return tuple(
+        sum(row, ())
+        for gen in code.generators
+        for row in zip(*(twistulant(block, code.lam) for block in gen))
+    )
 
 
 def code_span(code: QTCode) -> ModuleSpan:
@@ -514,9 +508,8 @@ def binary_image(code: QTCode) -> BinaryCode:
 
 @cache
 def _weight_table(k: int) -> bytes:
-    """Homogeneous weight / gamma(k) of each byte of a flat word over R_k, by character_table."""
-    weights = [x.bit_count() // gamma(k) for x in character_table(k)]
-    return bytes(sum(weights[e.coeffs] for e in unflatten_vec(b, k, 8 >> k)) for b in range(256))
+    """Homogeneous weight / gamma(k) of each byte of a flat word over R_k, k <= K_MAX."""
+    return bytes(hom_weight_vec(unflatten_vec(b, k, 8 >> k)) // gamma(k) for b in range(256))
 
 
 def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:

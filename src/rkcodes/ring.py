@@ -19,8 +19,8 @@ Facts used throughout the package:
   * the homogeneous weight is 0 at 0, 2^(2^k - 1) at the top monomial, and
     gamma = 2^(2^k - 2) everywhere else; on vectors it adds coordinatewise.
   * w(x) = gamma * (1 - (1/|U|) * sum over units u of chi(u*x)), and
-    |U| = 2*gamma, so w(x) = #{u in U : chi(u*x) = -1}.  That count is the
-    popcount of an F2-linear image of x (character_table).
+    |U| = 2*gamma, so w(x) = #{u in U : chi(u*x) = -1}.  The package weighs
+    by the closed form (hom_weight); the tests check it against this sum.
 
 Text encodings: single symbols 0/1/u/3 for R_1 (3 denotes 1+u), one hex
 digit per element for R_2 (basis order uv, v, u, 1, so the digit value
@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterable, Iterator
 
-K_MAX = 3  # largest k with a character table and a Gray image
+K_MAX = 3  # largest k with a Gray image and whole coordinates in every byte
 _K_CAP = 6  # sanity bound for ring arithmetic (coefficient word of 2^k bits)
 
 NOTATIONS = ("r1", "hex", "generic")
@@ -146,29 +145,6 @@ def monomial(k: int, indices: Iterable[int]) -> RingElement:
 def elements(k: int) -> Iterator[RingElement]:
     """All 2^(2^k) elements, ordered by coefficient word."""
     return (RingElement(k, c) for c in range(1 << (1 << k)))
-
-
-def units(k: int) -> Iterator[RingElement]:
-    return (RingElement(k, c) for c in range(1, 1 << (1 << k), 2))
-
-
-@cache
-def character_table(k: int) -> tuple[int, ...]:
-    """Entry x has bit j set iff chi(u_j * x) = -1, u_j the j-th unit of units(k).
-
-    Entries are unit_count(k) bits wide and the popcount of entry x is the
-    homogeneous weight of x.  The map is F2-linear, so the table is built
-    from the 2^k monomial entries by XOR; k is capped at K_MAX because an
-    entry has 2^(2^k - 1) bits.
-    """
-    if not 1 <= k <= K_MAX:
-        raise ValueError(f"character tables exist for k in 1..{K_MAX}, got k={k}")
-    table = [0]
-    for a in range(1 << k):
-        u_a = RingElement(k, 1 << a)
-        row = sum(((u * u_a).character() < 0) << j for j, u in enumerate(units(k)))
-        table += [t ^ row for t in table]
-    return tuple(table)
 
 
 def hom_weight_vec(vec: Iterable[RingElement]) -> int:

@@ -1,15 +1,15 @@
 """Builders and brute-force oracles for the paper's facts that the tests check.
 
-The code families with their predicted parameters, the Griesmer bound, free
-rank by division, the QC form of an odd-coindex QT code, and unit
-multiplication as a permutation of Gray coordinates: the library has no
-caller for them.
+The unit group, the code families with their predicted parameters, the
+Griesmer bound, free rank by division, the QC form of an odd-coindex QT
+code, and unit multiplication as a permutation of Gray coordinates: the
+library has no caller for them.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from rkcodes.analysis import build_row_code, load_table_rows
 from rkcodes.codes import (
@@ -17,7 +17,7 @@ from rkcodes.codes import (
 )
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import grade_scaled, poly_degree, poly_divmod, shift
-from rkcodes.ring import RingElement, elements, gamma, unit_count, units, zero
+from rkcodes.ring import RingElement, elements, gamma, unit_count, zero
 
 
 def one(k: int) -> RingElement:
@@ -27,6 +27,11 @@ def one(k: int) -> RingElement:
 def top(k: int) -> RingElement:
     """The top monomial u_1 u_2 ... u_k."""
     return RingElement(k, 1 << ((1 << k) - 1))
+
+
+def units(k: int) -> Iterator[RingElement]:
+    """The units of R_k, ordered by coefficient word: those with bit 0 set."""
+    return (RingElement(k, c) for c in range(1, 1 << (1 << k), 2))
 
 
 def character_unit_sum(x: RingElement) -> int:
@@ -42,6 +47,15 @@ def shift_n(vec: Sequence[RingElement], lam: RingElement, steps: int) -> tuple:
 def interleave(blocks: Sequence[Sequence[RingElement]]) -> tuple:
     """Blockwise tuple -> codeword layout: position i*ell + b holds block b, coefficient i."""
     return tuple(e for column in zip(*blocks) for e in column)
+
+
+def oracle_spanning_rows(code: QTCode) -> tuple:
+    """m interleaved rows per generator tuple: x^i times the generator, by shift_n."""
+    return tuple(
+        interleave(tuple(shift_n(block, code.lam, i) for block in gen))
+        for gen in code.generators
+        for i in range(code.m)
+    )
 
 
 def repetition_code_family(k: int, n: int) -> tuple[QTCode, tuple[int, int, int]]:

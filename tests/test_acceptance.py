@@ -21,6 +21,7 @@ from oracles import (
     repetition_code_family,
     six_m_family,
     top,
+    units,
 )
 from rkcodes.analysis import bound_check, build_row_code, load_table_rows, verify_tables
 from rkcodes.cli import main as cli_main
@@ -36,7 +37,7 @@ from rkcodes.codes import (
 from rkcodes.gf2 import rotate_bits
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import Polynomial, lambda_substitute
-from rkcodes.ring import RingElement, elements, gamma, parse_element, unit_count, units, zero
+from rkcodes.ring import RingElement, elements, gamma, parse_element, unit_count, zero
 
 MISPRINT_GENERATOR = "aaa2|4e4e"
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import top
+from oracles import top, units
 from rkcodes import codes as codes_module
 from rkcodes.analysis import bound_check, build_row_code, load_table_rows
 from rkcodes.codes import (
@@ -32,15 +32,14 @@ from rkcodes.codes import (
     unflatten_vec,
 )
 from rkcodes.gf2 import LOW_ROWS, F2Span, min_weight, span_blocks, span_counts, span_iter
+from rkcodes.graymap import GrayMap
 from rkcodes.ring import (
     K_MAX,
     RingElement,
-    character_table,
     gamma,
     hom_weight_vec,
     monomial,
     unit_count,
-    units,
 )
 
 hamming = partial(map, int.bit_count)
@@ -117,7 +116,7 @@ def test_hom_weight_enumerator_matches_ring_weights(k):
 
 
 def test_hom_weight_enumerator_wide_coordinates():
-    # R_4 is past K_MAX: no character table, coordinates weighed one at a time.
+    # R_4 is past K_MAX: no byte weight table, coordinates weighed one at a time.
     code = QTCode.from_strings(4, ["u1u2,u3u4+u1u2u3u4"], notation="generic")
     enum = hom_weight_enumerator(code)
     assert enum == oracle_hom_enumerator(code)
@@ -127,7 +126,7 @@ def test_hom_weight_enumerator_wide_coordinates():
 @settings(max_examples=60)
 @given(st.data())
 def test_hom_counts_matches_per_word_weights(data):
-    # any F2 basis of flat words, not only R_k-modules: the character map is F2-linear
+    # any F2 basis of flat words, not only R_k-modules: the weight adds over coordinates
     k = data.draw(st.integers(1, 3))
     n = data.draw(st.integers(16 >> k, 24 >> k))
     rank = data.draw(st.sampled_from((0, 1, LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, LOW_ROWS + 3)))
@@ -137,16 +136,16 @@ def test_hom_counts_matches_per_word_weights(data):
     assert hom_counts(k, n, basis) == Counter(sum(e.hom_weight() for e in word) for word in words)
 
 
-def character_rows(k: int, n: int, basis) -> list[int]:
-    """Flat rows with each coordinate x replaced by ring.character_table(k)[x], one at a time."""
-    table, width, mask = character_table(k), unit_count(k), (1 << (1 << k)) - 1
-    return [sum(table[flat >> (i << k) & mask] << i * width for i in range(n)) for flat in basis]
+def gray_rows(k: int, n: int, basis) -> list[int]:
+    """Flat rows with each coordinate x replaced by GrayMap(k).word_image(x), one at a time."""
+    image, width, mask = GrayMap(k).word_image, unit_count(k), (1 << (1 << k)) - 1
+    return [sum(image(flat >> (i << k) & mask) << i * width for i in range(n)) for flat in basis]
 
 
 def walked_hom_counts(k: int, n: int, basis) -> Counter:
-    """Every word of the span weighed: character rows by popcount, or RingElements past K_MAX."""
-    if k <= K_MAX:  # the character map is F2-linear: the rows' images span the span's
-        return span_counts(character_rows(k, n, basis), hamming)
+    """Every word of the span weighed: Gray rows by popcount, or RingElements past K_MAX."""
+    if k <= K_MAX:  # the Gray map is F2-linear: the rows' images span the span's
+        return span_counts(gray_rows(k, n, basis), hamming)
     return Counter(hom_weight_vec(unflatten_vec(flat, k, n)) for flat in span_iter(basis))
 
 
@@ -632,7 +631,7 @@ def test_bound_check_matches_per_word_loop():
     codes = random_codes(2024, 60) + random_codes(2025, 12, max_rank=14, min_rank=LOW_ROWS + 1)
     assert sum(code_span(c).rank > LOW_ROWS for c in codes) > 12
     codes.append(QTCode.from_strings(2, ["00|00"]))  # the zero code
-    # past K_MAX: no character table, coordinates weighed one at a time
+    # past K_MAX: no byte weight table, coordinates weighed one at a time
     codes.append(QTCode.from_strings(4, ["1+u1|u2u3"], notation="generic"))
     for code in codes:
         assert bound_check(code) == oracle_bound_check(code), code

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import apply_permutation, one, top, unit_mul_permutation
+from oracles import apply_permutation, one, top, unit_mul_permutation, units
 from rkcodes.codes import ModuleSpan, QTCode, binary_image, binary_image_of_span, flatten_vec
 from rkcodes.gf2 import bits_to_str, rotate_bits
 from rkcodes.graymap import GrayMap, NotInImageError
@@ -17,7 +17,6 @@ from rkcodes.ring import (
     elements,
     hom_weight_vec,
     parse_element,
-    units,
     zero,
 )
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import pytest
 
-from oracles import unit_mul_permutation
+from oracles import oracle_spanning_rows, unit_mul_permutation, units
 from rkcodes import codes as codes_module
 from rkcodes import gf2
 from rkcodes.analysis import _BlockParts, build_row_code, load_table_rows
@@ -32,7 +32,6 @@ from rkcodes.codes import (
     module_image,
     module_span,
     residue_split,
-    spanning_rows,
 )
 from rkcodes.gf2 import (
     LOW_ROWS,
@@ -48,7 +47,7 @@ from rkcodes.gf2 import (
     weight_divisor,
 )
 from rkcodes.graymap import GrayMap
-from rkcodes.ring import RingElement, gamma, unit_count, units
+from rkcodes.ring import RingElement, gamma, unit_count
 
 CASES = {rank: 1800 if rank <= LOW_ROWS else 750 for rank in range(1, 15)}  # 21,000 codes
 
@@ -226,7 +225,7 @@ def self_orthogonal_r1_images(rng: random.Random, count: int, ranks: range) -> l
     and a unit u scales x_i*y_i by u^2 = 1, so neither moves it.
     """
     pieces = [
-        spanning_rows(code)
+        oracle_spanning_rows(code)
         for code in (build_row_code(row) for row in load_table_rows() if row.k == 1)
         if binary_image(code).is_self_orthogonal()
     ]

@@ -4,18 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import character_unit_sum, one, top
+from oracles import character_unit_sum, one, top, units
+from rkcodes.codes import _weight_table
 from rkcodes.ring import (
-    K_MAX,
     RingElement,
-    character_table,
     elements,
     format_element,
     gamma,
     monomial,
     parse_element,
     unit_count,
-    units,
     zero,
 )
 
@@ -175,25 +173,20 @@ def test_character_unit_sum():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_character_table_weighs_every_element(k):
-    table = character_table(k)
+    # w(x) = gamma * (1 - sum of chi(u*x) / |U|) = #{u : chi(u*x) = -1}, for every element
     n_units = unit_count(k)
-    assert len(table) == 1 << (1 << k)
+    weight = {}
     for x in elements(k):
-        entry = table[x.coeffs]
-        assert entry.bit_count() == x.hom_weight()
         numerator = gamma(k) * (n_units - character_unit_sum(x))
         assert numerator % n_units == 0
-        assert entry.bit_count() == numerator // n_units
-        assert entry < 1 << n_units
-        # built by linearity from the monomials; compare with one product per unit
-        assert entry == sum(((u * x).character() == -1) << j for j, u in enumerate(units(k)))
-    assert table[top(k).coeffs] == (1 << n_units) - 1  # the full width is used
-
-
-@pytest.mark.parametrize("k", [0, K_MAX + 1])
-def test_character_table_rejects_k_outside_range(k):
-    with pytest.raises(ValueError, match="character tables exist"):
-        character_table(k)
+        weight[x.coeffs] = numerator // n_units
+        assert x.hom_weight() == weight[x.coeffs]
+        assert weight[x.coeffs] == sum((u * x).character() == -1 for u in units(k))
+    assert weight[top(k).coeffs] == n_units  # every unit's character is -1 at the top
+    # and the byte table the ring side weighs by: its 8 >> k coordinates' sum over gamma
+    w = 1 << k
+    for b, entry in enumerate(_weight_table(k)):
+        assert entry * gamma(k) == sum(weight[b >> c & (1 << w) - 1] for c in range(0, 8, w)), b
 
 
 def test_full_ring_character_sum_vanishes():
