@@ -18,8 +18,8 @@ Homogeneous weights are counted on the ring side, independently of the
 Gray map: for k <= K_MAX each byte of a flat word holds whole coordinates,
 so it has a fixed weight, the closed form hom_weight_vec of its coordinates
 (_weight_table), and gf2.packed_weights makes each block of a span one
-weight byte per word.  The weight is invariant under the
-unit group U, and only the unit 1 fixes a word outside the residue kernel.
+weight byte per word.  The weight is invariant under the unit group U,
+and only the unit 1 fixes a word outside the residue kernel.
 So an R_k-module is weighed as its residue kernel plus one word of each unit
 orbit outside it, each counted |U| times (hom_split; hom_minima walks the
 same words for minima only).  Inside the kernel the units 1 + u_j fix more
