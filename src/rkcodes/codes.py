@@ -15,11 +15,13 @@ holds whole coordinates, and a row is mapped byte by byte through a
 256-entry table built once per k.
 
 Homogeneous weights are counted on the ring side, independently of the
-Gray map: for k <= K_MAX each byte of a flat word holds whole coordinates,
-so it has a fixed weight, the closed form hom_weight_vec of its coordinates
-(_weight_table), and gf2.packed_weights makes each block of a span one
-weight byte per word.  The weight is invariant under the unit group U,
-and only the unit 1 fixes a word outside the residue kernel.
+Gray map, in blocks of weight / gamma(k), one per word (_hom_weights).
+For k <= K_MAX each byte of a flat word holds whole coordinates, so it has
+a fixed weight, the closed form hom_weight_vec of its coordinates
+(_weight_table), and gf2.packed_weights makes a block one weight byte per
+word; wider words give lists.  gf2's weight_counts, weight_halves and
+least_weight reduce either.  The weight is invariant under the unit group
+U, and only the unit 1 fixes a word outside the residue kernel.
 So an R_k-module is weighed as its residue kernel plus one word of each unit
 orbit outside it, each counted |U| times (hom_split; hom_minima walks the
 same words for minima only).  Inside the kernel the units 1 + u_j fix more
@@ -29,7 +31,8 @@ at y -> u_A*y: u_top*y is y's residue word on the top bit of each
 coordinate, so the residue split (residue_split) is the split at u_top,
 and each kernel level the split at u_j.  A span of one block is walked once
 instead, kernel rows first, and counted in two parts.  Only hom_minima's
-kernel minimum above one block reads the Gray image (module_image).
+kernel minimum above one block reads the Gray image (module_image), for
+k <= K_MAX.
 
 binary_image (so code_record), hom_weight_enumerator and
 analysis.bound_check take a code's span from last_code, a memo of the
@@ -54,24 +57,23 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from rkcodes.gf2 import (
     LOW_ROWS,
     F2Span,
+    least_weight,
     min_weight,
-    packed_counts,
-    packed_min,
-    packed_split,
-    popcounts,
+    packed_weights,
     rotate_bits,
     self_orthogonal,
-    span_counts,
     span_blocks,
+    span_counts,
     span_iter,
-    span_min_weight,
+    weight_counts,
+    weight_halves,
 )
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import (
@@ -374,7 +376,7 @@ class BinaryCode:
 
     def weight_enumerator(self, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:
         _check_budget(self.rank, budget)
-        return WeightEnumerator(span_counts(self.rows, popcounts))
+        return WeightEnumerator(span_counts(self.rows))
 
     def min_distance(self, budget: int = DEFAULT_BUDGET_LOG2) -> int:
         _check_budget(self.rank, budget)
@@ -512,34 +514,17 @@ def _weight_table(k: int) -> bytes:
     return bytes(hom_weight_vec(unflatten_vec(b, k, 8 >> k)) // gamma(k) for b in range(256))
 
 
-def _hom_view(k: int, n: int) -> tuple[Callable, Callable, Callable]:
-    """(counts, least, halves): span_counts and span_min_weight of flat words by homogeneous
-    weight, and halves(rows, cut), the counts of the first cut words of a one-block span's
-    walk and of the rest.
-
-    For k <= K_MAX the gf2 packed kernel weighs the words, but a span's least
-    (start = 0: a residue kernel, a module) is its module_image's minimum
-    distance, as information sets need Hamming weights; wider words weigh RingElements.
-    """
+def _hom_weights(k: int, n: int, rows: Sequence[int], start: int = 0) -> Iterator:
+    """Homogeneous weight / gamma(k), at most 2n, of each word of start ^ span(rows), a block
+    of span_blocks at a time: gf2.packed_weights through _weight_table for k <= K_MAX, and
+    lists of hom_weight_vec past it."""
     if k <= K_MAX:
-        table, g, nbytes = _weight_table(k), gamma(k), ((n << k) + 7) >> 3
-
-        def scaled(tally: Mapping[int, int]) -> dict[int, int]:
-            return {g * w: c for w, c in tally.items()}
-
-        return (
-            lambda rows, start=0: scaled(packed_counts(rows, table, nbytes, start)),
-            lambda rows, start=0: g * packed_min(rows, table, nbytes, start)
-            if start else module_image(k, n, _map_coordinates(k, n, rows)).min_distance(len(rows)),
-            lambda rows, cut: tuple(map(scaled, packed_split(rows, table, nbytes, cut))),
-        )
-    weigh = partial(map, lambda flat: hom_weight_vec(unflatten_vec(flat, k, n)))
-
-    def halves(rows: list[int], cut: int) -> tuple[Counter, Counter]:
-        weights = list(weigh(span_blocks(rows)[0]))
-        return Counter(weights[:cut]), Counter(weights[cut:])
-
-    return partial(span_counts, weigh=weigh), partial(span_min_weight, weigh=weigh), halves
+        return packed_weights(rows, _weight_table(k), ((n << k) + 7) >> 3, start)
+    g = gamma(k)
+    return (
+        [hom_weight_vec(unflatten_vec(flat, k, n)) // g for flat in block]
+        for block in span_blocks(rows, start)
+    )
 
 
 def _split(
@@ -622,22 +607,26 @@ def hom_split(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], Mapping, M
     2^b)/|U| + (2^b + 2^f)/2 words, b and f the ranks of the kernel and of
     the rows left.
     """
-    counts, _, halves = _hom_view(k, n)
     residues, lifts, rows = residue_split(k, n, basis)
+    g, top = gamma(k), 2 * n
     if len(basis) <= LOW_ROWS:
-        return (tuple(residues), *halves(rows + lifts, 1 << len(rows)))
-    top = (1 << k) - 1
-    inside, outside = Counter(), Counter()
-    for start, coset in _cosets(lifts, rows, top):
-        outside.update({w: c << top for w, c in counts(coset, start=start).items()})
-    for a in (1 << j for j in range(k) if 1 << j != top):  # at k = 1, u_1 is u_top
-        if len(rows) <= LOW_ROWS:
-            break
-        _, lifts, rows = _split(k, n, rows, a)
-        for start, coset in _cosets(lifts, rows, 1):
-            inside.update({w: 2 * c for w, c in counts(coset, start=start).items()})
-    inside.update(counts(rows))
-    return tuple(residues), inside, outside
+        block = next(_hom_weights(k, n, rows + lifts))
+        inside, outside = weight_halves(block, top, 1 << len(rows))
+    else:
+        units = (1 << k) - 1  # log2 |U|
+        inside, outside = Counter(), Counter()
+        for start, coset in _cosets(lifts, rows, units):
+            counts = weight_counts(_hom_weights(k, n, coset, start), top)
+            outside.update({w: c << units for w, c in counts.items()})
+        for a in (1 << j for j in range(k) if 1 << j != units):  # at k = 1, u_1 is u_top
+            if len(rows) <= LOW_ROWS:
+                break
+            _, lifts, rows = _split(k, n, rows, a)
+            for start, coset in _cosets(lifts, rows, 1):
+                counts = weight_counts(_hom_weights(k, n, coset, start), top)
+                inside.update({w: 2 * c for w, c in counts.items()})
+        inside.update(weight_counts(_hom_weights(k, n, rows), top))
+    return tuple(residues), *({g * w: c for w, c in part.items()} for part in (inside, outside))
 
 
 def split_minima(residues: tuple, inside: Mapping, outside: Mapping) -> tuple:
@@ -650,16 +639,24 @@ def hom_minima(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], int | Non
 
     d_kernel is the least inside the residue kernel, d_nonkernel outside
     it, None for no word.  A span of one block takes them from hom_split's
-    one walk; a larger one from _hom_view's least on the kernel and a
-    min-only walk of each coset, as a full split can cost far more.
+    one walk; a larger one from a min-only walk of each coset, as a full
+    split can cost far more, and from the kernel's minimum distance: of its
+    module_image for k <= K_MAX, by information sets, and of a walk past it.
     """
     if len(basis) <= LOW_ROWS:
         return split_minima(*hom_split(k, n, basis))
-    _, least, _ = _hom_view(k, n)
     residues, lifts, kernel = residue_split(k, n, basis)
+    g, top = gamma(k), 2 * n
     cosets = _cosets(lifts, kernel, (1 << k) - 1)
-    d_nonkernel = min((least(rows, start=start) for start, rows in cosets), default=None)
-    return tuple(residues), least(kernel) if kernel else None, d_nonkernel
+    least = [least_weight(_hom_weights(k, n, rows, start), top) for start, rows in cosets]
+    d_nonkernel = g * min(least) if least else None
+    if not kernel:
+        d_kernel = None
+    elif k <= K_MAX:  # information sets need Hamming weights: the Gray image's
+        d_kernel = module_image(k, n, _map_coordinates(k, n, kernel)).min_distance(len(kernel))
+    else:  # least_weight skips weight 0, the zero word's only
+        d_kernel = g * least_weight(_hom_weights(k, n, kernel), top)
+    return tuple(residues), d_kernel, d_nonkernel
 
 
 def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:

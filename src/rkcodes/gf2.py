@@ -5,11 +5,11 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import chain, islice
 from math import comb
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 LOW_ROWS = 10  # span_blocks blocks hold 2^LOW_ROWS words
 
@@ -84,9 +84,9 @@ def span_blocks(basis: Sequence[int], start: int = 0) -> Iterable[Iterable[int]]
     The first block is a list: start ^ the span of the first LOW_ROWS rows,
     start first.  Each other combination h of the remaining rows gives
     map(h.__xor__, first block), so memory is one block whatever the rank,
-    and a weigher made of map() over a C-level callable such as
-    int.bit_count costs one Python iteration per block.  A span of one
-    block comes back as (block,), so its walk resumes no generator.
+    and map(int.bit_count, block) weighs a block in one Python iteration
+    (span_counts, span_min_weight).  A span of one block comes back as
+    (block,), so its walk resumes no generator.
     """
     block = [start]
     for row in basis[:LOW_ROWS]:
@@ -98,50 +98,34 @@ def span_blocks(basis: Sequence[int], start: int = 0) -> Iterable[Iterable[int]]
     return chain((block,), (map(h.__xor__, block) for h in high))
 
 
-popcounts = partial(map, int.bit_count)  # weigher for Hamming weights
-
-
-def span_counts(
-    basis: Sequence[int], weigh: Callable[[Iterator[int]], Iterable[int]], start: int = 0
-) -> Counter:
-    """Weight -> count over the 2^len(basis) words start ^ (XOR-combination of basis rows).
-
-    weigh receives each block of span_blocks as an iterator of words and
-    returns one weight per word.
-    """
+def span_counts(basis: Sequence[int]) -> Counter:
+    """Hamming weight -> count over the 2^len(basis) XOR-combinations of basis rows."""
     counts: Counter = Counter()
-    for block in span_blocks(basis, start):
-        counts.update(weigh(iter(block)))
+    for block in span_blocks(basis):
+        counts.update(map(int.bit_count, block))
     return counts
 
 
-def span_min_weight(
-    basis: Sequence[int],
-    weigh: Callable[[Iterator[int]], Iterable[int]] = popcounts,
-    start: int = 0,
-) -> int:
-    """Smallest weight of a nonzero word of start ^ span(basis), for independent rows.
+def span_min_weight(basis: Sequence[int]) -> int:
+    """Smallest Hamming weight of a nonzero word in the span of independent rows.
 
-    The least weight over the blocks of span_blocks.  start must be 0 or
-    outside the span; then the zero word occurs only for start = 0, as the
-    first word, and is skipped.
+    The least weight over the blocks of span_blocks; the zero word, the
+    first of the first block, is skipped.
     """
-    if not basis and not start:
+    if not basis:
         raise ValueError("the zero span has no nonzero word")
-    blocks = iter(span_blocks(basis, start))
-    first = next(blocks)
-    best = min(weigh(iter(first) if start else islice(first, 1, None)))
+    blocks = iter(span_blocks(basis))
+    best = min(map(int.bit_count, islice(next(blocks), 1, None)))
     for block in blocks:
-        best = min(best, min(weigh(block)))
+        best = min(best, min(map(int.bit_count, block)))
     return best
 
 
 @lru_cache(maxsize=256)
-def _lane(table: bytes, nbytes: int) -> tuple[int, int, str]:
-    """(top, c, typecode): nbytes * max(table), and the first of B, H, I, Q (c bytes) to hold it."""
-    top = nbytes * max(table)
-    code = next(t for t in "BHIQ" if top >> 8 * array(t).itemsize == 0)
-    return top, array(code).itemsize, code
+def _lane(table: bytes, nbytes: int) -> tuple[int, str]:
+    """(c, typecode): the first of B, H, I, Q (c bytes) to hold nbytes * max(table)."""
+    code = next(t for t in "BHIQ" if nbytes * max(table) >> 8 * array(t).itemsize == 0)
+    return array(code).itemsize, code
 
 
 def packed_weights(basis: Sequence[int], table: bytes, nbytes: int, start: int = 0) -> Iterator:
@@ -155,7 +139,7 @@ def packed_weights(basis: Sequence[int], table: bytes, nbytes: int, start: int =
     are summed once.  So a block comes back as bytes, one weight per word
     in span_blocks' order, or past one byte as an array of c-byte ints.
     """
-    _, c, code = _lane(table, nbytes)
+    c, code = _lane(table, nbytes)
     packed, rep, words = start, 1, 1
     for row in basis[:LOW_ROWS]:
         packed |= (packed ^ row * rep) << words * nbytes * 8
@@ -183,10 +167,10 @@ _ONE_HOT = [bytes(8 * g) + bytes(1 << j for j in range(8)) + bytes(248 - 8 * g) 
 _BIT_PLANES = [int.from_bytes(bytes([1 << j]) * (1 << LOW_ROWS), "little") for j in range(8)]
 
 
-def _tally(weights: bytes | array, top: int) -> dict[int, int]:
-    """Weight -> count over a block of packed_weights or a slice of one.  In bytes, memchr
-    finds the weights present, and each is counted as a popcount of one bit plane of the
-    block through _ONE_HOT, as bytes.count branches on each byte and mispredicts."""
+def _tally(weights: bytes | array | list, top: int) -> dict[int, int]:
+    """Weight -> count over a block of weights at most top, or a slice of one.  In bytes,
+    memchr finds the weights present, and each is counted as a popcount of one bit plane of
+    the block through _ONE_HOT, as bytes.count branches on each byte and mispredicts."""
     if not isinstance(weights, bytes):
         return Counter(weights)
     present = list(filter(weights.__contains__, range(top + 1)))
@@ -195,27 +179,27 @@ def _tally(weights: bytes | array, top: int) -> dict[int, int]:
     return {w: (hot[w >> 3] & _BIT_PLANES[w & 7]).bit_count() for w in present}
 
 
-def packed_counts(basis: Sequence[int], table: bytes, nbytes: int, start: int = 0) -> Counter:
-    """Weight -> count over the words of start ^ span(basis), by packed_weights."""
+def weight_counts(blocks: Iterable[bytes | array | list], top: int) -> Counter:
+    """Weight -> count over blocks of weights at most top: bytes, arrays or lists."""
     counts: Counter = Counter()
-    for block in packed_weights(basis, table, nbytes, start):
-        counts.update(_tally(block, _lane(table, nbytes)[0]))
+    for block in blocks:
+        counts.update(_tally(block, top))
     return counts
 
 
-def packed_split(basis: Sequence[int], table: bytes, nbytes: int, cut: int) -> tuple[dict, dict]:
-    """packed_counts of the first cut words of a one-block span(basis) and of the rest."""
-    block, top = next(packed_weights(basis, table, nbytes)), _lane(table, nbytes)[0]
+def weight_halves(block: bytes | array | list, top: int, cut: int) -> tuple[dict, dict]:
+    """weight_counts of the first cut weights of one block and of the rest."""
     return _tally(block[:cut], top), _tally(block[cut:], top)
 
 
-def packed_min(basis: Sequence[int], table: bytes, nbytes: int, start: int) -> int:
-    """Least weight of the words start ^ span(basis), by packed_weights: the first weight
-    present below the least so far, found by memchr in bytes."""
-    best = _lane(table, nbytes)[0]
-    for block in packed_weights(basis, table, nbytes, start):
+def least_weight(blocks: Iterable[bytes | array | list], top: int) -> int:
+    """Least nonzero weight over blocks of weights at most top, or top if none is below it:
+    the first weight present below the least so far, found by memchr in bytes.  Weight 0
+    is skipped whatever word weighs it; on the ring side only the zero word does."""
+    best = top
+    for block in blocks:
         present = (block if isinstance(block, bytes) else set(block)).__contains__
-        best = next(filter(present, range(best)), best)
+        best = next(filter(present, range(1, best)), best)
     return best
 
 

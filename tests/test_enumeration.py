@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from functools import partial
 from itertools import chain
 
 import pytest
@@ -42,9 +41,6 @@ from rkcodes.ring import (
     unit_count,
 )
 
-hamming = partial(map, int.bit_count)
-
-
 def random_basis(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
     span = F2Span()
     while span.rank < rank:
@@ -80,7 +76,7 @@ def random_codes(seed: int, count: int, ks=(1, 2, 3), max_rank: int = 13, min_ra
 @pytest.mark.parametrize("rank", [0, 1, LOW_ROWS - 1, LOW_ROWS, LOW_ROWS + 1, 15])
 def test_span_counts_matches_span_iter(rank):
     basis = random_basis(random.Random(rank), rank, 40)
-    assert span_counts(basis, hamming) == Counter(map(int.bit_count, span_iter(basis)))
+    assert span_counts(basis) == Counter(map(int.bit_count, span_iter(basis)))
 
 
 @pytest.mark.parametrize("rank", [0, 1, LOW_ROWS, LOW_ROWS + 1, LOW_ROWS + 3])
@@ -99,7 +95,7 @@ def test_span_blocks_cover_the_coset(rank):
 @given(st.lists(st.integers(0, (1 << 48) - 1), max_size=14))
 def test_span_counts_property(rows):
     basis = F2Span(rows).basis()
-    counts = span_counts(basis, hamming)
+    counts = span_counts(basis)
     assert sum(counts.values()) == 1 << len(basis)
     assert counts == Counter(map(int.bit_count, span_iter(basis)))
 
@@ -145,7 +141,7 @@ def gray_rows(k: int, n: int, basis) -> list[int]:
 def walked_hom_counts(k: int, n: int, basis) -> Counter:
     """Every word of the span weighed: Gray rows by popcount, or RingElements past K_MAX."""
     if k <= K_MAX:  # the Gray map is F2-linear: the rows' images span the span's
-        return span_counts(gray_rows(k, n, basis), hamming)
+        return span_counts(gray_rows(k, n, basis))
     return Counter(hom_weight_vec(unflatten_vec(flat, k, n)) for flat in span_iter(basis))
 
 
@@ -660,6 +656,19 @@ def codes_past_k_max(seed: int, count: int) -> list[QTCode]:
         )
         out.append(QTCode(rng.choice(list(units(4))), 1, m, ((block,),)))
     return out
+
+
+def test_minima_and_split_past_k_max_above_one_block():
+    # no Gray image past K_MAX: hom_minima weighs the kernel and each coset as lists of weights
+    codes = [code for code in codes_past_k_max(114, 8) if code_span(code).rank > LOW_ROWS]
+    assert sorted(code_span(code).rank for code in codes) == [12, 16, 16]
+    parts = []
+    for code in codes:
+        span = code_span(code)
+        _, lifts, kernel = residue_split(4, span.n, span.basis)
+        parts.append((len(lifts), len(kernel)))
+        assert_minima_match_the_walk(4, span.n, span.basis)
+    assert parts == [(1, 15), (0, 12), (0, 16)]  # every kernel minimum skips the zero word
 
 
 def test_one_block_split_matches_the_walk():

@@ -39,11 +39,12 @@ from rkcodes.gf2 import (
     _systematic,
     info_set_min_weight,
     information_sets,
+    least_weight,
     min_weight,
-    popcounts,
-    span_counts,
+    span_blocks,
     span_iter,
     span_min_weight,
+    weight_counts,
     weight_divisor,
 )
 from rkcodes.graymap import GrayMap
@@ -292,10 +293,10 @@ def test_min_weight_and_counts_on_a_coset(rank):
     basis = F2Span(rng.getrandbits(30) for _ in range(rank + 1)).basis()
     start, rows = basis[-1], basis[:-1]
     coset = [start ^ w for w in span_iter(rows)]
-    assert span_counts(rows, popcounts, start) == Counter(map(int.bit_count, coset))
-    assert span_min_weight(rows, popcounts, start) == min(map(int.bit_count, coset))
-    triple = lambda words: (3 * w.bit_count() for w in words)
-    assert span_min_weight(rows, triple, start) == 3 * min(map(int.bit_count, coset))
+    # the Hamming weights of span_blocks' coset blocks, reduced as the ring side reduces its own
+    blocks = [list(map(int.bit_count, block)) for block in span_blocks(rows, start)]
+    assert weight_counts(blocks, 30) == Counter(map(int.bit_count, coset))
+    assert least_weight(blocks, 30) == min(map(int.bit_count, coset))
     if rows:
         assert min_weight(rows) == min(w.bit_count() for w in span_iter(rows) if w)
 

@@ -69,11 +69,11 @@ def test_bounds_after_the_enumerator_reads_its_split(monkeypatch):
     hom_weight_enumerator(code)
 
     def recomputed(*args):
-        raise AssertionError("bound_check split the code again")
+        raise AssertionError("bound_check split or weighed the code again")
 
     with monkeypatch.context() as patched:
         patched.setattr(codes, "residue_split", recomputed)
-        patched.setattr(codes, "packed_min", recomputed)
+        patched.setattr(codes, "_hom_weights", recomputed)
         report = bound_check(code)
     codes.last_code.reset()
     assert bound_check(code) == report  # cold: hom_minima's own walk

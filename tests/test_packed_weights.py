@@ -1,11 +1,13 @@
-"""The packed byte-table weigher against per-word walks and per-element weights.
+"""The packed byte-table weigher and the reductions of weight blocks against per-word walks.
 
 gf2.packed_weights weighs a block of words with a few whole-block int and
-bytes operations.  Its oracle is the plain walk: every word of the span,
+bytes operations, and gf2.weight_counts, weight_halves and least_weight
+reduce its blocks (bytes, or arrays past one byte) and the ring side's
+lists past K_MAX.  Their oracle is the plain walk: every word of the span,
 one byte at a time through the same table.  The table the ring side uses,
-codes._weight_table, is checked against RingElement.hom_weight, and the
-ring-side enumerator against the Gray image's, which is weighed by
-int.bit_count and so shares no counting code with it.
+codes._weight_table, is pinned, and the ring-side enumerator is checked
+against the Gray image's, which is weighed by int.bit_count and so shares
+no counting code with it.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import random
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -32,14 +35,14 @@ from rkcodes.codes import (
 from rkcodes.gf2 import (
     LOW_ROWS,
     F2Span,
-    packed_counts,
-    packed_min,
-    packed_split,
+    least_weight,
     packed_weights,
     span_blocks,
     span_iter,
+    weight_counts,
+    weight_halves,
 )
-from rkcodes.ring import RingElement, gamma
+from rkcodes.ring import RingElement
 
 
 def walked_weights(basis, table: bytes, nbytes: int, start: int) -> Counter:
@@ -47,6 +50,19 @@ def walked_weights(basis, table: bytes, nbytes: int, start: int) -> Counter:
     return Counter(
         sum(table[b] for b in (start ^ word).to_bytes(nbytes, "little")) for word in span_iter(basis)
     )
+
+
+def reduced(basis, table: bytes, nbytes: int, start: int) -> tuple[Counter, int]:
+    """weight_counts and least_weight of the blocks of packed_weights, top the heaviest word."""
+    top = nbytes * max(table)
+    counts = weight_counts(packed_weights(basis, table, nbytes, start), top)
+    return counts, least_weight(packed_weights(basis, table, nbytes, start), top)
+
+
+def least_nonzero(walked: Counter, top: int) -> int:
+    """What least_weight reads: these random tables weigh some nonzero bytes 0, and
+    least_weight skips weight 0 itself, not only the zero word; top when no weight is left."""
+    return min((w for w in walked if w), default=top)
 
 
 def random_case(rng: random.Random, rank: int, nbytes: int, top: int):
@@ -69,8 +85,8 @@ def test_packed_weights_match_the_walk(nbytes):
             basis, table, start = random_case(rng, rank, nbytes, top)
             for begin in {0, start}:
                 walked = walked_weights(basis, table, nbytes, begin)
-                assert packed_counts(basis, table, nbytes, begin) == walked, (rank, top, begin)
-                assert packed_min(basis, table, nbytes, begin) == min(walked)
+                least = least_nonzero(walked, nbytes * max(table))
+                assert reduced(basis, table, nbytes, begin) == (walked, least), (rank, top, begin)
 
 
 def block_weights(basis, table: bytes, nbytes: int, start: int) -> list[list[int]]:
@@ -115,8 +131,7 @@ def test_packed_weights_at_the_edge_of_one_byte(nbytes, top):
         walked = walked_weights(basis, table, nbytes, start)
         if not start:  # the span holds the heaviest word
             assert max(walked) == nbytes * top
-        assert packed_counts(basis, table, nbytes, start) == walked
-        assert packed_min(basis, table, nbytes, start) == min(walked)
+        assert reduced(basis, table, nbytes, start) == (walked, least_nonzero(walked, nbytes * top))
         blocks = list(packed_weights(basis, table, nbytes, start))
         assert [list(block) for block in blocks] == block_weights(basis, table, nbytes, start)
         assert all(isinstance(block, bytes) == (nbytes * top == 255) for block in blocks)
@@ -129,16 +144,29 @@ def test_packed_split_cuts_the_walk_of_one_block(nbytes, top):
         basis, table, _ = random_case(rng, rank, nbytes, top)
         (weights,) = block_weights(basis, table, nbytes, 0)
         for cut in sorted({0, 1, len(weights) // 3, len(weights) - 1, len(weights)}):
-            first, rest = packed_split(basis, table, nbytes, cut)
+            block = next(packed_weights(basis, table, nbytes))
+            first, rest = weight_halves(block, nbytes * max(table), cut)
             assert first == Counter(weights[:cut]) and rest == Counter(weights[cut:]), (rank, cut)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_weight_table_matches_ring_weights_on_every_byte(k):
-    w = 1 << k
-    for b in range(256):
-        coords = [RingElement(k, b >> c & (1 << w) - 1) for c in range(0, 8, w)]
-        assert _weight_table(k)[b] * gamma(k) == sum(e.hom_weight() for e in coords), (k, b)
+@pytest.mark.parametrize("kind", ["bytes", "array", "list"])
+def test_reductions_read_every_kind_of_block(kind):
+    # the same weights as bytes (packed_weights up to 255), 2-byte ints past it, or lists (past
+    # K_MAX); a few distinct values per block, zeros included, the least ones in later blocks
+    rng = random.Random(len(kind))
+    top = 255 if kind == "bytes" else 600
+    weights = [[rng.choice((0, 9 - i, 40, 41, 200, top)) for _ in range(1 << LOW_ROWS)]
+               for i in range(3)]
+    make = {"bytes": bytes, "array": lambda ws: array("H", ws), "list": list}[kind]
+    blocks = [make(ws) for ws in weights]
+    every = Counter(chain(*weights))
+    assert weight_counts(blocks, top) == every
+    assert least_weight(blocks, top) == min(w for w in every if w) == 7
+    assert least_weight(blocks[:1], top) == 9
+    assert least_weight([make([0] * 8)], top) == top  # no nonzero weight: top
+    for cut in (0, 1, 300, 1 << LOW_ROWS):
+        first, rest = weight_halves(blocks[1], top, cut)
+        assert (first, rest) == (Counter(weights[1][:cut]), Counter(weights[1][cut:])), cut
 
 
 # sha256 of _weight_table(k), recorded from its build by character-table popcounts

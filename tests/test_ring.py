@@ -172,7 +172,7 @@ def test_character_unit_sum():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_character_table_weighs_every_element(k):
+def test_hom_weight_matches_character_sums_on_every_element_and_byte(k):
     # w(x) = gamma * (1 - sum of chi(u*x) / |U|) = #{u : chi(u*x) = -1}, for every element
     n_units = unit_count(k)
     weight = {}
