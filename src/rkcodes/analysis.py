@@ -9,7 +9,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from importlib import resources
-from itertools import accumulate, compress, islice, product
+from itertools import compress, islice, product
 from typing import Sequence
 
 from rkcodes.codes import (
@@ -31,8 +31,8 @@ from rkcodes.codes import (
 )
 from rkcodes.gf2 import F2Span, min_weight
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import element_separator
-from rkcodes.ring import RingElement, elements, format_element, gamma, parse_element, unit_count
+from rkcodes.polyqt import format_generator
+from rkcodes.ring import RingElement, elements, gamma, parse_element
 
 # code_span is re-exported: perfbench's tracer patches every rkcodes module that binds it,
 # and its tests check the binding here.
@@ -213,43 +213,51 @@ def config_hash(config: SearchConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _orbit_min_string(shifts: Sequence[Sequence[str]]) -> tuple[str, str]:
-    """(candidate string, minimum string over the simultaneous-shift orbit).
+def _orbit_min_string(shifts: Sequence[Sequence[bytes]]) -> tuple[bytes, bytes]:
+    """(candidate key, least key over the simultaneous-shift orbit).
 
-    shifts[b][s] is block b's string after s twisted shifts, as
-    format_block writes it; shift s of the candidate joins them by "|".
+    shifts[b][s] is block b's key after s twisted shifts, from _BlockParts;
+    shift s of the candidate joins them, and keys compare as its strings do.
     """
-    texts = shifts[0] if len(shifts) == 1 else list(map("|".join, zip(*shifts)))
-    return texts[0], min(texts)
+    keys = shifts[0] if len(shifts) == 1 else list(map(b"".join, zip(*shifts)))
+    return keys[0], min(keys)
 
 
 _MEMO_ENTRIES = 1 << 12  # blocks a memo of _BlockParts holds before it is cleared
 
 
 class _BlockParts:
-    """Shift strings and Gray-image words of a candidate's blocks, memoised per position.
+    """Shift keys and Gray-image words of a candidate's blocks, memoised per position.
 
     The twisted shift acts per block, u_A and the Gray map per coordinate,
     and block b owns the coordinates i*ell + b.  So a candidate's orbit
-    strings join its blocks', and the Gray images of all u_A * x^i * g,
+    keys join its blocks', and the Gray images of all u_A * x^i * g,
     which span the image of g's module, are sums of its blocks' words.  A
     block's words are made once a candidate holding it is evaluated.
+
+    A key holds a rank byte per element: its place among format_generator's
+    texts of every element followed in its block, ending a block, or ending
+    the string.  No element text holds "," or "|", so keys compare as the
+    generator strings do.
     """
 
     def __init__(self, k: int, lam: RingElement, ell: int, m: int, notation: str | None):
         self.k, self.lam, self.ell, self.m = k, lam.coeffs, ell, m
         self.lam_table = bytes((lam * e).coeffs for e in elements(k)).ljust(256, b"\0")
-        sep = element_separator(k, notation)
-        self.texts = [format_element(e, notation) + sep for e in elements(k)]
-        self.widths, self.cut = bytes(map(len, self.texts)).ljust(256, b"\0"), len(sep)
+        z, ranks = RingElement(k, 0), []
+        for probe in (lambda e: [[e, z]], lambda e: [[e], [z]], lambda e: [[e]]):
+            texts = [format_generator(probe(e), notation) for e in elements(k)]
+            place = {text: rank for rank, text in enumerate(sorted(texts))}
+            ranks.append(bytes(map(place.get, texts)).ljust(256, b"\0"))
+        self.inner, self.block_end, self.string_end = ranks
         self.memos = [{} for _ in range(ell)]
         self.shape = module_image(k, ell * m, ())  # the length, divisor and parts of every image
 
     def blocks(self, digits: Sequence[int]) -> list[list]:
-        """[shift strings, image words or None] of each block of the digits."""
+        """[shift keys, image words or None] of each block of the digits."""
         m = self.m
         if self.ell == 1:  # no block recurs, so no memo
-            return [[self._shifts(bytes(digits)), None]]
+            return [[self._shifts(bytes(digits), self.string_end), None]]
         parts = []
         for b, memo in enumerate(self.memos):
             block = bytes(digits[b * m:b * m + m])
@@ -257,20 +265,20 @@ class _BlockParts:
             if part is None:
                 if len(memo) >= _MEMO_ENTRIES:
                     memo.clear()
-                part = memo[block] = [self._shifts(block), None]
+                end = self.block_end if b < self.ell - 1 else self.string_end
+                part = memo[block] = [self._shifts(block, end), None]
             parts.append(part)
         return parts
 
-    def _shifts(self, block: bytes) -> list[str]:
-        """The block's strings after 0..m-1 twisted shifts, as format_block writes them.
+    def _shifts(self, block: bytes, end: bytes) -> list[bytes]:
+        """The block's keys after 0..m-1 twisted shifts; end ranks its last element.
 
-        Shift s is the window of lambda*block + block at m - s: the texts of
-        its elements m - s to 2m - s - 1, less the separator after the last.
+        Shift s is the window of lambda*block + block at m - s: elements
+        m - s to 2m - s - 2 ranked as inner ones, then element 2m - s - 1.
         """
-        m, cut, both = self.m, self.cut, block.translate(self.lam_table) + block
-        text = both.decode("latin-1").translate(self.texts)
-        ends = [0, *accumulate(both.translate(self.widths))]
-        return [text[ends[m - s]:ends[2 * m - s] - cut] for s in range(m)]
+        m, both = self.m, block.translate(self.lam_table) + block
+        inner, last = both.translate(self.inner), both.translate(end)
+        return [inner[m - s:2 * m - s - 1] + last[2 * m - s - 1:2 * m - s] for s in range(m)]
 
     def image(self, digits: Sequence[int], parts: list[list]) -> BinaryCode:
         """module_image of the module of the candidate digits, given their blocks()."""
@@ -285,13 +293,13 @@ class _BlockParts:
         return BinaryCode(shape.length, F2Span(rows).basis(), shape.divisor, shape.parts)
 
 
-def _keep_best(best: dict, cell: tuple[int, int], key: tuple[int, str]) -> None:
-    """Keep the smaller key (-d, generator string) per (length, dimension) cell."""
+def _keep_best(best: dict, cell: tuple[int, int], key: tuple[int, bytes, bytes]) -> None:
+    """Keep the smaller (-d, orbit key, digits) per (length, dimension) cell; keys never tie."""
     best[cell] = min(best.get(cell, key), key)
 
 
 def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
-    """Best (-d, generator string) per (length, dimension) cell, and budget skips, of a chunk.
+    """Best (-d, orbit key, digits) per (length, dimension) cell, and budget skips, of a chunk.
 
     payload: {"config": SearchConfig, "m": coindex, "tuples" or "index_range": candidates}.
     """
@@ -305,14 +313,14 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
     else:
         candidates = payload["tuples"]
 
-    best: dict[tuple[int, int], tuple[int, str]] = {}
+    best: dict[tuple[int, int], tuple[int, bytes, bytes]] = {}
     skipped = 0
     for digits in candidates:
         if not any(digits):
             continue
         parts = parts_of.blocks(digits)
-        gen_str, orbit_min = _orbit_min_string([part[0] for part in parts])
-        if gen_str != orbit_min:
+        key, least = _orbit_min_string([part[0] for part in parts])
+        if key != least:
             continue  # a shift-equivalent candidate was or will be seen
         img = parts_of.image(digits, parts)
         try:
@@ -320,7 +328,7 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
         except BudgetError:
             skipped += 1
             continue
-        _keep_best(best, (img.length, img.rank), (-d, gen_str))
+        _keep_best(best, (img.length, img.rank), (-d, key, bytes(digits)))
     return best, skipped
 
 
@@ -348,9 +356,10 @@ def _draw_digits(rng: random.Random, size: int, count: int) -> bytes:
 def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
     """Best minimum distance per (length, dimension) cell; pure in (config, seed).
 
-    Candidates are single-generator tuples; only the lexicographically
-    smallest member of each simultaneous-shift orbit is evaluated.  Output
-    is independent of the worker count.  Raises BudgetError when candidates
+    Candidates are single-generator tuples keyed by rank bytes that sort as
+    their generator strings.  Only the least key of each simultaneous-shift
+    orbit is evaluated, and only winners are formatted.  Output is
+    independent of the worker count.  Raises BudgetError when candidates
     were skipped for the codeword budget and none was evaluated, and
     ValueError when none was evaluated for any other reason.
     """
@@ -388,7 +397,7 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
             results = list(pool.map(_evaluate_chunk, payloads))
     else:
         results = map(_evaluate_chunk, payloads)
-    best: dict[tuple[int, int], tuple[int, str]] = {}
+    best: dict[tuple[int, int], tuple[int, bytes, bytes]] = {}
     skipped = 0
     for cells, chunk_skipped in results:
         for cell, key in cells.items():
@@ -404,14 +413,12 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
         )
 
     h = config_hash(config)
+    lam, ell = parse_element(config.lam, config.k, config.notation), config.ell
     records = []
-    for (length, _), (_, gen_str) in sorted(best.items()):
-        m = length // (unit_count(config.k) * config.ell)
-        code = QTCode.from_strings(
-            config.k, [gen_str], lam=config.lam, ell=config.ell, m=m,
-            notation=config.notation,
-        )
-        rec = code_record(code, config.budget, config.notation)
+    for _, (_, _, digits) in sorted(best.items()):
+        m = len(digits) // ell
+        gen = tuple(tuple(RingElement(lam.k, c) for c in digits[b * m:b * m + m]) for b in range(ell))
+        rec = code_record(QTCode(lam, ell, m, (gen,)), config.budget, config.notation)
         rec["provenance"] = {"seed": config.seed, "config_hash": h}
         records.append(rec)
     return records

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from rkcodes.gf2 import F2Span, bits_to_str
 from rkcodes.ring import K_MAX, RingElement, unit_count
 
 RingVec = tuple[RingElement, ...]
@@ -58,13 +57,10 @@ class GrayMap:
         self.k = k
         self.image_len = unit_count(k)
         self.basis_rows = _PINNED_ROWS.get(k) or _bit_slice_rows(k)
-        if F2Span(self.basis_rows).rank < len(self.basis_rows):
+        # Decoder: every coefficient word by its image; fewer images than words mean dependent rows.
+        self._decoder = {self.word_image(c): c for c in range(1 << len(self.basis_rows))}
+        if len(self._decoder) < 1 << len(self.basis_rows):
             raise AssertionError("basis table rows are not independent")
-        # Decoder: basis row idx tagged with bit image_len + idx, so reducing
-        # an image block leaves its coefficient word in the high bits.
-        self._decoder = F2Span(
-            row | 1 << (idx + self.image_len) for idx, row in enumerate(self.basis_rows)
-        )
 
     def element_image(self, e: RingElement) -> int:
         if e.k != self.k:
@@ -88,16 +84,13 @@ class GrayMap:
             out |= self.element_image(e) << (i * self.image_len)
         return out
 
-    def image_str(self, vec: Sequence[RingElement]) -> str:
-        return bits_to_str(self.image(vec), len(vec) * self.image_len)
-
     def element_preimage(self, block: int) -> RingElement:
         if not 0 <= block < 1 << self.image_len:
             raise NotInImageError("block does not fit the image length")
-        residual = self._decoder.reduce(block)
-        if residual & (1 << self.image_len) - 1:
+        coeffs = self._decoder.get(block)
+        if coeffs is None:
             raise NotInImageError("binary block lies outside RM(1, 2^k - 1)")
-        return RingElement(self.k, residual >> self.image_len)
+        return RingElement(self.k, coeffs)
 
     def preimage(self, bits: int, n_blocks: int) -> RingVec:
         """Unique preimage of a valid n_blocks * image_len word."""

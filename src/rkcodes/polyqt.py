@@ -145,24 +145,16 @@ def parse_block(text: str, k: int, notation: str | None = None) -> RingVec:
     """One generator block: digit string for r1/hex, comma-separated for generic."""
     notation = notation or default_notation(k)
     t = text.strip()
-    if notation == "generic":
-        tokens = [tok for tok in t.split(",")]
-    else:
-        tokens = list(t)
+    tokens = t.split(",") if notation == "generic" else list(t)
     if not tokens:
         raise ValueError("empty generator block")
     return tuple(parse_element(tok, k, notation) for tok in tokens)
 
 
-def element_separator(k: int, notation: str | None = None) -> str:
-    """What separates the elements of a formatted block: "," in generic notation, else ""."""
-    return "," if (notation or default_notation(k)) == "generic" else ""
-
-
 def format_block(block: Sequence[RingElement], notation: str | None = None) -> str:
     if not block:
         raise ValueError("empty generator block")
-    sep = element_separator(block[0].k, notation)
+    sep = "," if (notation or default_notation(block[0].k)) == "generic" else ""
     return sep.join(format_element(e, notation) for e in block)
 
 

@@ -3,7 +3,8 @@
 The unit group, the code families with their predicted parameters, the
 Griesmer bound, free rank by division, the QC form of an odd-coindex QT
 code, and unit multiplication as a permutation of Gray coordinates: the
-library has no caller for them.
+library has no caller for them.  Also the search orbit check on formatted
+generator strings, which search's rank keys replaced.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterator, Sequence
 
-from rkcodes.analysis import build_row_code, load_table_rows
+from rkcodes.analysis import _orbit_min_string, build_row_code, load_table_rows
 from rkcodes.codes import (
     ModuleSpan, QTCode, binary_image_of_span, code_span, module_span, unflatten_vec
 )
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import grade_scaled, poly_degree, poly_divmod, shift
+from rkcodes.polyqt import format_generator, grade_scaled, poly_degree, poly_divmod, shift
 from rkcodes.ring import RingElement, elements, gamma, unit_count, zero
 
 
@@ -47,6 +48,43 @@ def shift_n(vec: Sequence[RingElement], lam: RingElement, steps: int) -> tuple:
 def interleave(blocks: Sequence[Sequence[RingElement]]) -> tuple:
     """Blockwise tuple -> codeword layout: position i*ell + b holds block b, coefficient i."""
     return tuple(e for column in zip(*blocks) for e in column)
+
+
+def digit_blocks(k: int, m: int, digits: Sequence[int]) -> tuple:
+    """The blocks of a search digit tuple: digits[b*m + i] is coefficient i of block b."""
+    return tuple(
+        tuple(RingElement(k, c) for c in digits[lo:lo + m]) for lo in range(0, len(digits), m)
+    )
+
+
+def orbit_strings(blocks: Sequence[Sequence[RingElement]], lam: RingElement, notation) -> list:
+    """format_generator of the blocks after 0..m-1 simultaneous twisted shifts."""
+    strings = []
+    for _ in range(len(blocks[0])):
+        strings.append(format_generator(blocks, notation))
+        blocks = tuple(shift(block, lam) for block in blocks)
+    return strings
+
+
+def pair_signs(items: Sequence) -> list[int]:
+    """sign(a - b) for every ordered pair of items: their order, ties included."""
+    return [(a > b) - (a < b) for a in items for b in items]
+
+
+def check_orbit_keys(shifts: Sequence[Sequence[bytes]], blocks, lam: RingElement, notation) -> bool:
+    """Search's shift keys of a candidate against its formatted orbit; True if it is orbit-least.
+
+    shifts[b][s] is _BlockParts' key of block b after s shifts.  Every pair of
+    shifts must compare as their generator strings do, and _orbit_min_string
+    must keep the candidate exactly when its string is the orbit's least.
+    """
+    keys = [b"".join(key) for key in zip(*shifts)]
+    strings = orbit_strings(blocks, lam, notation)
+    assert pair_signs(keys) == pair_signs(strings), strings
+    own, least = _orbit_min_string(shifts)
+    assert (own, least) == (keys[0], min(keys))
+    assert (own == least) == (strings[0] == min(strings)), strings
+    return own == least
 
 
 def oracle_spanning_rows(code: QTCode) -> tuple:

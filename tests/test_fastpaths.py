@@ -1,24 +1,26 @@
 """Byte-table maps, pivot-mask elimination, min-only distance, search's per-block
-parts and the F2Span Gray decoder against the code they replaced.
+parts and the Gray decoder table against the code they replaced.
 
 Each oracle below is the implementation its fast path replaced: the
 per-coordinate loop behind binary images, F2Span with a loop over every
 basis row, the minimum nonzero key of a full span_counts, the orbit check
-that slices each shift out of the digit lists and reads a per-position
-token table, the Gray image of a reduced module span (binary_image, for the
-divisor and unit parts too), and the GrayMap decoder that carried basis
-combinations through its own elimination.
+on formatted generator strings (oracles.check_orbit_keys), the Gray image
+of a reduced module span (binary_image, for the divisor and unit parts
+too), and a GrayMap decoder that carries basis combinations through its
+own elimination.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rkcodes.analysis import _BlockParts, _orbit_min_string
+from oracles import check_orbit_keys, digit_blocks
+from rkcodes.analysis import _BlockParts
 from rkcodes.codes import (
     QTCode,
     _map_coordinates,
@@ -31,8 +33,8 @@ from rkcodes.codes import (
 from rkcodes.gf2 import LOW_ROWS, F2Span, information_sets, span_counts, span_min_weight
 from rkcodes import graymap
 from rkcodes.graymap import GrayMap, NotInImageError
-from rkcodes.polyqt import element_separator
-from rkcodes.ring import RingElement, elements, format_element, gamma
+from rkcodes.polyqt import format_generator
+from rkcodes.ring import RingElement, elements, gamma, parse_element
 
 
 def oracle_map_coordinates(k, n, basis, lookup, width):
@@ -83,31 +85,6 @@ def random_basis(rng: random.Random, rank: int, length: int) -> tuple[int, ...]:
     while len(span.basis()) < rank:
         span.add(rng.getrandbits(length))
     return span.basis()
-
-
-def orbit_tokens(k: int, ell: int, m: int, notation: str | None) -> list[list[str]]:
-    """Per digit position, format_element(c) + the separator format_generator puts after it."""
-    texts = [format_element(e, notation) for e in elements(k)]
-    inner = [t + element_separator(k, notation) for t in texts]
-    tokens = ([inner] * (m - 1) + [[t + "|" for t in texts]]) * ell
-    tokens[-1] = texts
-    return tokens
-
-
-def oracle_orbit_min_string(digits, tokens, lam_times, m):
-    """(candidate string, orbit-min string), each shift sliced out of the digit lists."""
-    first = "".join(map(list.__getitem__, tokens, digits))
-    best = first
-    twisted = [lam_times[c] for c in digits]
-    for s in range(1, m):
-        member: list[int] = []
-        for lo in range(0, len(digits), m):
-            member += twisted[lo + m - s : lo + m]
-            member += digits[lo : lo + m - s]
-        text = "".join(map(list.__getitem__, tokens, member))
-        if text < best:
-            best = text
-    return first, best
 
 
 @pytest.mark.parametrize("k", [1, 2, 3], ids=lambda k: f"{k}-gray")
@@ -170,14 +147,12 @@ def test_orbit_min_string_matches_sliced_shifts(shape):
     k, notation, ell, m = shape
     rng = random.Random(str(shape))
     size = 1 << (1 << k)
-    tokens = orbit_tokens(k, ell, m, notation)
     for _ in range(200):
         lam = RingElement(k, rng.randrange(1, size, 2))
-        lam_times = [(lam * RingElement(k, c)).coeffs for c in range(size)]
         top = rng.choice((3, size - 1))  # small digits make ties and shared prefixes
         digits = [rng.randint(0, top) for _ in range(ell * m)]
         shifts = [part[0] for part in _BlockParts(k, lam, ell, m, notation).blocks(digits)]
-        assert _orbit_min_string(shifts) == oracle_orbit_min_string(digits, tokens, lam_times, m)
+        check_orbit_keys(shifts, digit_blocks(k, m, digits), lam, notation)
 
 
 @pytest.mark.parametrize("shape", ORBIT_SHAPES, ids=lambda s: "-".join(map(str, s)))
@@ -186,10 +161,8 @@ def test_block_parts_match_the_sliced_orbit_and_the_module_span_image(shape):
     k, notation, ell, m = shape
     rng = random.Random(f"parts {shape}")
     size, n = 1 << (1 << k), ell * m
-    tokens = orbit_tokens(k, ell, m, notation)
     for _ in range(6):
         lam = RingElement(k, rng.randrange(1, size, 2))
-        lam_times = [(lam * RingElement(k, c)).coeffs for c in range(size)]
         parts_of = _BlockParts(k, lam, ell, m, notation)  # memos shared by the trials below
         top = rng.choice((3, size - 1))
         pool = [bytes(m), *(bytes(rng.randint(0, top) for _ in range(m)) for _ in range(3))]
@@ -197,8 +170,7 @@ def test_block_parts_match_the_sliced_orbit_and_the_module_span_image(shape):
             digits = b"".join(rng.choice(pool) for _ in range(ell))
             digits = (bytes, tuple, list)[trial % 3](digits)
             parts = parts_of.blocks(digits)
-            pair = oracle_orbit_min_string(digits, tokens, lam_times, m)
-            assert _orbit_min_string([part[0] for part in parts]) == pair, digits
+            check_orbit_keys([part[0] for part in parts], digit_blocks(k, m, digits), lam, notation)
             span = _span_of_flat(k, n, generator_rows(k, lam.coeffs, ell, m, digits))
             got = parts_of.image(digits, parts)
             assert got == binary_image_of_span(span), digits
@@ -207,9 +179,61 @@ def test_block_parts_match_the_sliced_orbit_and_the_module_span_image(shape):
 
 
 def candidate_code(k, lam, ell, m, digits):
-    """The QTCode of one generator tuple given as search digits: digits[b*m + i] is block b, i."""
-    blocks = tuple(tuple(RingElement(k, c) for c in digits[b * m:b * m + m]) for b in range(ell))
-    return QTCode(lam, ell, m, (blocks,))
+    """The QTCode of one generator tuple given as search digits."""
+    return QTCode(lam, ell, m, (digit_blocks(k, m, digits),))
+
+
+RANK_NOTATIONS = [(1, "r1"), (2, "hex"), (1, "generic"), (2, "generic"), (3, "generic")]
+
+
+@pytest.mark.parametrize("k, notation", RANK_NOTATIONS)
+def test_rank_tables_order_elements_as_their_generator_strings(k, notation):
+    # In a generator [[a, b], [c, d]], a and c are followed in their block, b ends a block and
+    # d the string.  Ranks are distinct and texts are too, so equal sorts mean that every pair
+    # of elements compares by rank as it does by text.
+    parts = _BlockParts(k, RingElement(k, 1), 2, 2, notation)
+    ring = list(elements(k))
+    rng = random.Random(f"ranks {k} {notation}")
+    for place, table in ((0, parts.inner), (2, parts.inner), (1, parts.block_end),
+                         (3, parts.string_end)):
+        assert sorted(table[:len(ring)]) == list(range(len(ring)))
+        for _ in range(3):
+            gen = [rng.choice(ring) for _ in range(4)]
+
+            def text(e):
+                gen[place] = e
+                return format_generator([gen[:2], gen[2:]], notation)
+
+            assert sorted(ring, key=lambda e: table[e.coeffs]) == sorted(ring, key=text)
+    if (k, notation) == (1, "generic"):  # "1+u1," < "1," since "+" < ",", but "1" < "1+u1"
+        one, one_u = parse_element("1", 1, notation), parse_element("1+u1", 1, notation)
+        assert parts.inner[one_u.coeffs] < parts.inner[one.coeffs]
+        assert parts.block_end[one_u.coeffs] < parts.block_end[one.coeffs]
+        assert parts.string_end[one.coeffs] < parts.string_end[one_u.coeffs]
+
+
+EXHAUSTIVE_ORBIT_SHAPES = [  # (k, notation, lambda, ell, m), at most 2^12 tuples each
+    (1, "r1", "3", 3, 2),
+    (1, "r1", "1", 1, 6),
+    (1, "generic", "1+u1", 2, 3),  # (000|331) is least: "...|1+u1,1+u1,1" < "...,1+u1"
+    (2, "hex", "b", 1, 3),
+    (2, "generic", "1+u1+u1u2", 3, 1),
+    (2, "generic", "1+u2", 1, 3),
+    (3, "generic", "1+u1+u2u3", 1, 1),
+]
+
+
+@pytest.mark.parametrize("shape", EXHAUSTIVE_ORBIT_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_orbit_decision_matches_the_strings_on_every_tuple(shape):
+    k, notation, lam_text, ell, m = shape
+    lam = parse_element(lam_text, k, notation)
+    parts_of = _BlockParts(k, lam, ell, m, notation)
+    kept = 0
+    for digits in product(range(1 << (1 << k)), repeat=ell * m):
+        shifts = [part[0] for part in parts_of.blocks(digits)]
+        kept += check_orbit_keys(shifts, digit_blocks(k, m, digits), lam, notation)
+    total = (1 << (1 << k)) ** (ell * m)
+    assert kept == total if m == 1 else 0 < kept < total  # at m = 1 every orbit is one tuple
 
 
 @pytest.mark.parametrize("ell, m", [(1, 4), (2, 3)])

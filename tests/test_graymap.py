@@ -103,7 +103,7 @@ def test_full_ring_image_weight_distribution():
 def test_vector_image_and_example():
     g = GrayMap(2)
     vec = (parse_element("c", 2), parse_element("8", 2))  # (uv+v, uv)
-    assert g.image_str(vec) == "0011001111111111"
+    assert bits_to_str(g.image(vec), 16) == "0011001111111111"
     e = parse_element("c", 2)  # uv+v
     assert bits_to_str(g.element_image(e), 8) == "00110011"
     assert g.element_image(e).bit_count() == e.hom_weight()

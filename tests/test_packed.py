@@ -18,11 +18,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_spanning_rows, shift_n, units
+from oracles import check_orbit_keys, digit_blocks, oracle_spanning_rows, shift_n, units
 from rkcodes import analysis
-from rkcodes.analysis import (
-    SearchConfig, _BlockParts, _draw_digits, _evaluate_chunk, _orbit_min_string
-)
+from rkcodes.analysis import SearchConfig, _BlockParts, _draw_digits, _evaluate_chunk
 from rkcodes.codes import (
     BinaryCode,
     QTCode,
@@ -38,7 +36,6 @@ from rkcodes.codes import (
 )
 from rkcodes.gf2 import F2Span
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import format_generator, shift
 from rkcodes.ring import RingElement, elements, parse_element
 
 
@@ -51,17 +48,6 @@ def oracle_module_span(rows) -> tuple[int, ...]:
             scalar = RingElement(k, 1 << mask)
             span.add(flatten_vec([scalar * e for e in row]))
     return span.basis()
-
-
-def oracle_orbit_min_string(blocks, lam, notation):
-    """(candidate string, minimum string over the simultaneous-shift orbit)."""
-    cur = blocks
-    first = format_generator(cur, notation)
-    best = first
-    for _ in range(len(blocks[0]) - 1):
-        cur = tuple(shift(b, lam) for b in cur)
-        best = min(best, format_generator(cur, notation))
-    return first, best
 
 
 def random_vec(rng: random.Random, k: int, n: int, alphabet=None):
@@ -207,11 +193,8 @@ def orbit_cases(draw):
 @given(orbit_cases())
 def test_orbit_min_string_matches_formatted_orbit(case):
     k, notation, ell, m, lam, digits = case
-    blocks = tuple(
-        tuple(RingElement(k, digits[b * m + i]) for i in range(m)) for b in range(ell)
-    )
     shifts = [part[0] for part in _BlockParts(k, lam, ell, m, notation).blocks(digits)]
-    assert _orbit_min_string(shifts) == oracle_orbit_min_string(blocks, lam, notation)
+    check_orbit_keys(shifts, digit_blocks(k, m, digits), lam, notation)
 
 
 DIGIT_SHAPES = [  # (k, notation, lambda, ell, m)

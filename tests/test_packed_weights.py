@@ -138,7 +138,7 @@ def test_packed_weights_at_the_edge_of_one_byte(nbytes, top):
 
 
 @pytest.mark.parametrize("nbytes, top", [(3, 8), (12, 8), (2, 255)])
-def test_packed_split_cuts_the_walk_of_one_block(nbytes, top):
+def test_weight_halves_cuts_the_walk_of_one_block(nbytes, top):
     rng = random.Random(nbytes + top)
     for rank in (0, 1, 5, LOW_ROWS):
         basis, table, _ = random_case(rng, rank, nbytes, top)
