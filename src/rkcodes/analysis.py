@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 from dataclasses import asdict, dataclass
 from importlib import resources
@@ -19,17 +20,15 @@ from rkcodes.codes import (
     QTCode,
     _check_budget,
     binary_image,
+    code_minima,
     code_record,
     code_span,
     generator_rows,
-    hom_minima,
-    last_code,
     module_image,
     module_image_words,
     qc_index,
-    split_minima,
 )
-from rkcodes.gf2 import F2Span, min_weight
+from rkcodes.gf2 import min_weight
 from rkcodes.graymap import GrayMap
 from rkcodes.polyqt import format_generator
 from rkcodes.ring import RingElement, elements, gamma, parse_element
@@ -139,13 +138,10 @@ def bound_check(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> dict:
     code, or no unit generator coefficient for the one-generator bound)
     are reported as None.
     """
-    span, split = last_code.get(code)  # split: hom_weight_enumerator's, if it ran on code last
-    _check_budget(span.rank, budget)
-    g = gamma(span.k)
-    minima = split_minima(*split) if split else hom_minima(span.k, span.n, span.basis)  # a module
-    residues, d_kernel, d_nonkernel = minima
+    residues, d_kernel, d_nonkernel = code_minima(code, budget)
+    g = gamma(code.k)
     d_hom = min((d for d in (d_kernel, d_nonkernel) if d is not None), default=None)
-    d_res = min_weight(residues) if residues else None  # independent rows, rank <= span.rank
+    d_res = min_weight(residues) if residues else None  # at most the span's rank: within budget
     lower = g * d_res if d_res is not None else None
     upper = 2 * g * d_res if d_res is not None else None
     lemma_lower_holds = upper_ok = sound_lower_ok = None
@@ -251,7 +247,6 @@ class _BlockParts:
             ranks.append(bytes(map(place.get, texts)).ljust(256, b"\0"))
         self.inner, self.block_end, self.string_end = ranks
         self.memos = [{} for _ in range(ell)]
-        self.shape = module_image(k, ell * m, ())  # the length, divisor and parts of every image
 
     def blocks(self, digits: Sequence[int]) -> list[list]:
         """[shift keys, image words or None] of each block of the digits."""
@@ -288,9 +283,8 @@ class _BlockParts:
                 alone = bytes(b * m) + bytes(digits[b * m:b * m + m])
                 part[1] = module_image_words(k, n, generator_rows(k, self.lam, ell, m, alone))
         # blocks own disjoint coordinates, so the sum of their words is their OR
-        rows = parts[0][1] if ell == 1 else list(map(sum, zip(*(part[1] for part in parts))))
-        shape = self.shape
-        return BinaryCode(shape.length, F2Span(rows).basis(), shape.divisor, shape.parts)
+        rows = parts[0][1] if ell == 1 else map(sum, zip(*(part[1] for part in parts)))
+        return module_image(k, n, rows)
 
 
 def _keep_best(best: dict, cell: tuple[int, int], key: tuple[int, bytes, bytes]) -> None:
@@ -359,9 +353,11 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
     Candidates are single-generator tuples keyed by rank bytes that sort as
     their generator strings.  Only the least key of each simultaneous-shift
     orbit is evaluated, and only winners are formatted.  Output is
-    independent of the worker count.  Raises BudgetError when candidates
-    were skipped for the codeword budget and none was evaluated, and
-    ValueError when none was evaluated for any other reason.
+    independent of the worker count.  jobs > 1 spawns min(jobs, chunks,
+    CPUs) workers, so a script calling it needs the if __name__ ==
+    "__main__" guard.  Raises BudgetError when candidates were skipped for
+    the codeword budget and none was evaluated, and ValueError when none
+    was evaluated for any other reason.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -390,10 +386,13 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
             )
             payloads.append({"config": config, "m": m, **part})
 
-    if jobs > 1 and len(payloads) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        spawn = multiprocessing.get_context("spawn")  # the same on every platform; fork warns
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
             results = list(pool.map(_evaluate_chunk, payloads))
     else:
         results = map(_evaluate_chunk, payloads)

@@ -123,7 +123,8 @@ def _codes_from_args(args: argparse.Namespace) -> list[QTCode]:
     _require(args, "k")
     batches = [args.gen]
     if args.gen == ["-"]:
-        batches = [[line.strip()] for line in sys.stdin if line.strip()]
+        lines = sys.stdin or ()  # None when file descriptor 0 is closed
+        batches = [[line.strip()] for line in lines if line.strip()]
         if not batches:
             raise ValueError("no generator lines on stdin")
     return [

@@ -2,10 +2,10 @@
 
 Codes are built on flat words: a ring vector packed into one int, 2^k bits
 per coordinate.  Multiplication by a monomial u_A acts alike on every
-coordinate, so on a flat word v it is (v & M_A) << A, where M_A keeps the
-bits u_B with B & A == 0 (then u_A u_B = u_(A+B) and no bit crosses into
-the next coordinate).  The R_k-span of generator rows equals the F2-span
-of all u_A * row, so row-reducing those gives exact size and enumeration
+coordinate, so on a flat word v it is (v & M_A) << A, ring's product rule
+with the mask M_A repeated over the coordinates (ring._monomial_masks).
+The R_k-span of generator rows equals the F2-span of all u_A * row
+(_module_words), so row-reducing those gives exact size and enumeration
 whether or not the module is free.  Binary images apply the Gray map to
 that F2 basis and row-reduce again; module_image_words maps all u_A * row
 instead, which span the same image, so search reduces once; module_image
@@ -34,10 +34,10 @@ instead, kernel rows first, and counted in two parts.  Only hom_minima's
 kernel minimum above one block reads the Gray image (module_image), for
 k <= K_MAX.
 
-binary_image (so code_record), hom_weight_enumerator and
-analysis.bound_check take a code's span from last_code, a memo of the
+binary_image (so code_record), hom_weight_enumerator and code_minima
+(so analysis.bound_check) take a code's span from last_code, a memo of the
 code object last asked about, which also keeps the hom_split that
-hom_weight_enumerator made for bound_check to read.  Only back-to-back
+hom_weight_enumerator made for code_minima to read.  Only back-to-back
 calls on one code object gain, as wd and library chains make.  The key is
 identity, as hashing a frozen QTCode walks every entry.  code_span keeps
 no memo: each of its calls builds the span, which tracers count.
@@ -86,6 +86,7 @@ from rkcodes.polyqt import (
 from rkcodes.ring import (
     K_MAX,
     RingElement,
+    _monomial_masks,
     format_element,
     gamma,
     hom_weight_vec,
@@ -137,14 +138,6 @@ class ModuleSpan:
             yield unflatten_vec(flat, self.k, self.n)
 
 
-@lru_cache(maxsize=256)
-def _monomial_masks(k: int, n: int) -> tuple[tuple[int, int], ...]:
-    """(A, M_A) for every monomial u_A, with M_A repeated over n coordinates."""
-    w = 1 << k
-    repunit = ((1 << n * w) - 1) // ((1 << w) - 1)  # bit 0 of every coordinate
-    return tuple((a, sum(1 << b for b in range(w) if not a & b) * repunit) for a in range(w))
-
-
 def _twisted_shifts(flat: int, k: int, n: int, lam: int, steps: int) -> Iterator[int]:
     """flat and its successive T_lambda^steps images, for a flat length-n word over R_k.
 
@@ -163,14 +156,15 @@ def _twisted_shifts(flat: int, k: int, n: int, lam: int, steps: int) -> Iterator
             flat ^= (top & mask) << a
 
 
-def _span_of_flat(k: int, n: int, rows: Iterable[int]) -> ModuleSpan:
-    """F2 basis of the R_k-module generated by flat rows: all u_A * row."""
+def _module_words(k: int, n: int, rows: Iterable[int]) -> list[int]:
+    """All u_A * row, row-major: F2-words spanning the R_k-module of the flat rows."""
     masks = _monomial_masks(k, n)
-    span = F2Span()
-    for flat in rows:
-        for a, mask in masks:
-            span.add((flat & mask) << a)
-    return ModuleSpan(k, n, span.basis())
+    return [(flat & mask) << a for flat in rows for a, mask in masks]
+
+
+def _span_of_flat(k: int, n: int, rows: Iterable[int]) -> ModuleSpan:
+    """F2 basis of the R_k-module generated by flat rows."""
+    return ModuleSpan(k, n, F2Span(_module_words(k, n, rows)).basis())
 
 
 def module_span(rows: Sequence[Sequence[RingElement]]) -> ModuleSpan:
@@ -448,8 +442,7 @@ def binary_image_of_span(span: ModuleSpan) -> BinaryCode:
 
 def module_image_words(k: int, n: int, rows: Iterable[int]) -> list[int]:
     """Gray images of all u_A * row, row-major: they span the binary image of the rows' module."""
-    words = [(flat & mask) << a for flat in rows for a, mask in _monomial_masks(k, n)]
-    return _map_coordinates(k, n, words)
+    return _map_coordinates(k, n, _module_words(k, n, rows))
 
 
 @cache
@@ -657,6 +650,13 @@ def hom_minima(k: int, n: int, basis: tuple) -> tuple[tuple[int, ...], int | Non
     else:  # least_weight skips weight 0, the zero word's only
         d_kernel = g * least_weight(_hom_weights(k, n, kernel), top)
     return tuple(residues), d_kernel, d_nonkernel
+
+
+def code_minima(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> tuple:
+    """hom_minima of the code's span; split_minima of its split instead if last_code has one."""
+    span, split = last_code.get(code)
+    _check_budget(span.rank, budget)
+    return split_minima(*split) if split else hom_minima(span.k, span.n, span.basis)  # a module
 
 
 def hom_weight_enumerator(code: QTCode, budget: int = DEFAULT_BUDGET_LOG2) -> WeightEnumerator:

@@ -90,22 +90,12 @@ class Polynomial:
         return Polynomial(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.lam)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        """Row i of twistulant(other) is x^i * other, so the product is sum_i a_i * row_i."""
         self._same_modulus(other)
-        m = self.m
-        out = [zero(self.k) for _ in range(m)]
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b:
-                    continue
-                prod = a * b
-                t = i + j
-                if t < m:
-                    out[t] += prod
-                else:
-                    out[t - m] += self.lam * prod  # x^m = lambda
-        return Polynomial(tuple(out), self.lam)
+        out = (zero(self.k),) * self.m
+        for a, row in zip(self.coeffs, twistulant(other.coeffs, self.lam)):
+            out = tuple(c + a * b for c, b in zip(out, row))
+        return Polynomial(out, self.lam)
 
     def __bool__(self) -> bool:
         return poly_degree(self.coeffs) >= 0

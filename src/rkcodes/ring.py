@@ -7,6 +7,8 @@ plain int: bit idx(A) = sum(2^(i-1) for i in A) holds the coefficient of
 u_A.  The subset index doubles as the subset bitmask (bit i-1 set exactly
 when i is in A), so a product of monomials is a bitmask union and the
 "u_i^2 = 0" relation is the disjointness test `idx_a & idx_b == 0`.
+The product is stated once, in _monomial_masks: u_A * b = (b & M_A) << A,
+M_A the bits u_B with A & B == 0, and a * b sums it over the u_A in a.
 
 Facts used throughout the package:
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 K_MAX = 3  # largest k with a Gray image and whole coordinates in every byte
@@ -42,6 +45,14 @@ NOTATIONS = ("r1", "hex", "generic")
 _R1_PARSE = {"0": 0b00, "1": 0b01, "u": 0b10, "3": 0b11}
 _R1_FORMAT = {v: s for s, v in _R1_PARSE.items()}
 _MONOMIAL_RE = re.compile(r"u([1-9])")
+
+
+@lru_cache(maxsize=256)
+def _monomial_masks(k: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(A, M_A) for every monomial u_A, with M_A repeated over n coordinates: the product rule."""
+    w = 1 << k
+    repunit = ((1 << n * w) - 1) // ((1 << w) - 1)  # bit 0 of every coordinate
+    return tuple((a, sum(1 << b for b in range(w) if not a & b) * repunit) for a in range(w))
 
 
 def gamma(k: int) -> int:
@@ -80,18 +91,9 @@ class RingElement:
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._same_ring(other)
         out = 0
-        a = self.coeffs
-        while a:
-            bit_a = a & -a
-            a ^= bit_a
-            mask_a = bit_a.bit_length() - 1
-            b = other.coeffs
-            while b:
-                bit_b = b & -b
-                b ^= bit_b
-                mask_b = bit_b.bit_length() - 1
-                if mask_a & mask_b == 0:  # u_A u_B = 0 unless A, B disjoint
-                    out ^= 1 << (mask_a | mask_b)
+        for a, mask in _monomial_masks(self.k, 1):  # u_A * b = (b & M_A) << A, over the u_A in self
+            if self.coeffs >> a & 1:
+                out ^= (other.coeffs & mask) << a
         return RingElement(self.k, out)
 
     def __bool__(self) -> bool:

@@ -4,7 +4,10 @@ The unit group, the code families with their predicted parameters, the
 Griesmer bound, free rank by division, the QC form of an odd-coindex QT
 code, and unit multiplication as a permutation of Gray coordinates: the
 library has no caller for them.  Also the search orbit check on formatted
-generator strings, which search's rank keys replaced.
+generator strings, which search's rank keys replaced, and the products
+that ring's mask rule and polyqt's twistulant rows replaced: the R_k
+product by pairs of monomials and the schoolbook product modulo
+x^m - lambda.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from rkcodes.codes import (
     ModuleSpan, QTCode, binary_image_of_span, code_span, module_span, unflatten_vec
 )
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import format_generator, grade_scaled, poly_degree, poly_divmod, shift
+from rkcodes.polyqt import (
+    Polynomial, format_generator, grade_scaled, poly_degree, poly_divmod, shift
+)
 from rkcodes.ring import RingElement, elements, gamma, unit_count, zero
 
 
@@ -33,6 +38,38 @@ def top(k: int) -> RingElement:
 def units(k: int) -> Iterator[RingElement]:
     """The units of R_k, ordered by coefficient word: those with bit 0 set."""
     return (RingElement(k, c) for c in range(1, 1 << (1 << k), 2))
+
+
+def bit_pair_product(a: RingElement, b: RingElement) -> RingElement:
+    """a * b by pairs of monomials: u_A u_B = u_(A+B) when A and B are disjoint, else 0."""
+    out = 0
+    x = a.coeffs
+    while x:
+        bit_a = x & -x
+        x ^= bit_a
+        mask_a = bit_a.bit_length() - 1
+        y = b.coeffs
+        while y:
+            bit_b = y & -y
+            y ^= bit_b
+            mask_b = bit_b.bit_length() - 1
+            if mask_a & mask_b == 0:
+                out ^= 1 << (mask_a | mask_b)
+    return RingElement(a.k, out)
+
+
+def schoolbook_product(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f * g term by term, x^(i+j) = lambda * x^(i+j-m) past m, on bit_pair_product."""
+    m = f.m
+    out = [zero(f.k) for _ in range(m)]
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            prod = bit_pair_product(a, b)
+            if i + j < m:
+                out[i + j] += prod
+            else:
+                out[i + j - m] += bit_pair_product(f.lam, prod)  # x^m = lambda
+    return Polynomial(tuple(out), f.lam)
 
 
 def character_unit_sum(x: RingElement) -> int:

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
+import os
 import random
+import threading
+import warnings
 
 import pytest
 
@@ -262,6 +266,55 @@ def test_search_rejects_jobs_below_one():
     for jobs in (0, -2):
         with pytest.raises(ValueError, match="jobs"):
             search(cfg, jobs=jobs)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its workers and start method, maps in-process."""
+
+    made: list = []
+
+    def __init__(self, max_workers=None, mp_context=None):
+        self.made.append((max_workers, mp_context.get_start_method()))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "cpus, pools", [(2, [(2, "spawn")]), (None, [])], ids=["two-cpus", "unknown-cpus"]
+)
+def test_search_pool_spawns_no_more_workers_than_cpus(cpus, pools, monkeypatch):
+    # 4^6 tuples in 256 chunks with jobs=64; no process is started
+    config = SearchConfig(k=1, lam="3", ell=2, m_values=(3,))
+    one_job = search(config, jobs=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "made", [])
+    assert search(config, jobs=64) == one_job
+    assert RecordingPool.made == pools
+
+
+def test_pooled_search_does_not_fork_beside_a_second_thread():
+    # Python 3.12 and later warn when fork() runs in a process with a second thread; the pool
+    # must not fork.  An "error" warnings filter would not catch it: CPython drops that warning.
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, daemon=True)
+    thread.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            search(SearchConfig(k=1, lam="3", ell=3, m_values=(2,), seed=7), jobs=2)
+    finally:
+        stop.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+    assert [str(w.message) for w in caught if "fork()" in str(w.message)] == []
 
 
 def test_search_exhaustive_cap():

@@ -5,8 +5,11 @@ import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkcodes.cli import build_parser, main
 
@@ -269,6 +272,75 @@ def test_empty_stdin_batch_is_a_usage_error(capsys, monkeypatch, command):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: no generator lines on stdin\n"
+
+
+def test_closed_stdin_batch_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", None)  # what Python sets when file descriptor 0 is closed
+    rc = main(["image", "--k", "2", "--gen", "-"])
+    assert (rc, capsys.readouterr().err) == (2, "error: no generator lines on stdin\n")
+
+
+# the symbols of every notation, the generator separators and a few strays
+GENERATOR_ALPHABET = "0123456789abcdefuU|,+() -z"
+ELEMENTS = {1: "013u", 2: "0123456789abcdef", 3: ["0", "1", "u1", "u2", "u1u2", "1+u3"]}
+UNITS = {1: ["1", "3"], 2: ["1", "b", "f"], 3: ["1", "1+u1", "1+u2+u1u3"]}
+
+
+@st.composite
+def code_command_argv(draw) -> list[str]:
+    """argv of build, image, wd or bounds: a valid command, or one with a single fault.
+
+    A fault leaves out or spoils one option, or replaces the generators with
+    stray text or "-" (stdin).  An --ell, --m or --notation fault may also
+    happen to give the right value.
+    """
+    k, ell, m = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    sep = "," if k == 3 else ""
+    block = st.lists(st.sampled_from(ELEMENTS[k]), min_size=m, max_size=m).map(sep.join)
+    tuples = st.lists(block, min_size=ell, max_size=ell).map("|".join)
+    gens = draw(st.lists(tuples, min_size=1, max_size=2))
+    command = draw(st.sampled_from(["build", "image", "wd", "bounds"]))
+    options = {"--k": k, "--lambda": draw(st.sampled_from(UNITS[k]))}
+    if command != "build":  # a small budget keeps every enumeration small
+        options["--budget"] = draw(st.integers(-1, 12))
+    fault = draw(st.sampled_from([None, "k", "lambda", "ell", "m", "notation", "gen", "stdin"]))
+    if fault == "k":
+        options["--k"] = draw(st.sampled_from([None, 0, 4, 7, "x"]))
+    elif fault == "lambda":
+        options["--lambda"] = draw(st.sampled_from(["u", "0", "2", "x", "1+u9", ""]))
+    elif fault in ("ell", "m"):
+        options[f"--{fault}"] = draw(st.integers(0, 4))
+    elif fault == "notation":
+        options["--notation"] = draw(st.sampled_from(["r1", "hex", "generic"]))
+    elif fault == "gen":
+        gens = draw(st.lists(st.text(GENERATOR_ALPHABET, max_size=8), min_size=1, max_size=2))
+    elif fault == "stdin":
+        gens = ["-"]
+    argv = [command, "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    for flag, value in options.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    for gen in gens:
+        argv += ["--gen", gen]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(code_command_argv())
+def test_code_commands_keep_the_exit_code_contract(argv):
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = None  # closed: --gen - reads stdin
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+    finally:
+        sys.stdin = stdin
+    assert rc in (0, 1, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    assert rc != 0 or out.getvalue(), argv
 
 
 def test_budget_exit_code(capsys):

@@ -6,7 +6,10 @@ import random
 
 import pytest
 
-from oracles import free_rank, grade_scaled_span, interleave, one, qc_equivalent
+from oracles import (
+    bit_pair_product, free_rank, grade_scaled_span, interleave, one, qc_equivalent
+)
+from rkcodes import codes
 from rkcodes.analysis import build_row_code, load_table_rows
 from rkcodes.codes import (
     BinaryCode,
@@ -18,6 +21,7 @@ from rkcodes.codes import (
     code_record,
     code_span,
     enumerate_codewords,
+    flatten_vec,
     hom_weight_enumerator,
     is_qt_invariant,
     module_span,
@@ -26,9 +30,10 @@ from rkcodes.codes import (
     span_shift_invariant,
     unflatten_vec,
 )
+from rkcodes.gf2 import F2Span
 from rkcodes.gf2 import self_orthogonal as gf2_self_orthogonal
 from rkcodes.polyqt import parse_block
-from rkcodes.ring import RingElement, zero
+from rkcodes.ring import RingElement, monomial, zero
 
 U1 = RingElement(1, 0b10)
 THREE = RingElement(1, 0b11)
@@ -37,6 +42,32 @@ THREE = RingElement(1, 0b11)
 def image_params(code: QTCode):
     img = binary_image(code)
     return img.length, img.rank, img.min_distance()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_module_span_and_module_image_words_read_one_list_of_module_words(k, monkeypatch):
+    rng, n = random.Random(k), 3
+    rows = [
+        flatten_vec([RingElement(k, rng.getrandbits(1 << k)) for _ in range(n)]) for _ in range(2)
+    ]
+    seen, module_words = [], codes._module_words
+
+    def recording(*args):
+        seen.append(module_words(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(codes, "_module_words", recording)
+    span = codes._span_of_flat(k, n, rows)
+    image_words = codes.module_image_words(k, n, rows)
+    # all u_A * row, row-major, by the bit-pair product
+    expected = [
+        flatten_vec([bit_pair_product(u, e) for e in unflatten_vec(row, k, n)])
+        for row in rows
+        for u in (monomial(k, [i + 1 for i in range(k) if a >> i & 1]) for a in range(1 << k))
+    ]
+    assert seen == [expected, expected]
+    assert span.basis == F2Span(expected).basis()
+    assert image_words == codes._map_coordinates(k, n, expected)
 
 
 def test_qt_generator_matrix_display_form():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -19,7 +20,7 @@ from rkcodes.polyqt import (
     shift,
     twistulant,
 )
-from oracles import free_rank, one, shift_n
+from oracles import free_rank, one, schoolbook_product, shift_n
 from rkcodes.ring import NOTATIONS, RingElement, elements, parse_element, zero
 
 LAM1 = one(1)
@@ -68,6 +69,26 @@ def test_poly_mul_examples():
     assert not (p1("110") * p1("111"))
     f = p1("1u1")
     assert f * Polynomial((one(1), zero(1), zero(1)), LAM1) == f
+
+
+@pytest.mark.parametrize("lam", [LAM1, THREE], ids=["1", "1+u"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_poly_mul_matches_the_schoolbook_product_on_every_pair(m, lam):
+    polys = [Polynomial(coeffs, lam) for coeffs in product(elements(1), repeat=m)]
+    for f in polys:
+        assert [f * g for g in polys] == [schoolbook_product(f, g) for g in polys], f
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_poly_mul_matches_the_schoolbook_product_on_random_pairs(k):
+    rng = random.Random(k)
+    for _ in range(200):
+        m, lam = rng.randrange(1, 7), RingElement(k, rng.randrange(1, 1 << (1 << k), 2))
+        f, g = (
+            Polynomial(tuple(RingElement(k, rng.getrandbits(1 << k)) for _ in range(m)), lam)
+            for _ in range(2)
+        )
+        assert f * g == schoolbook_product(f, g), (f, g)
 
 
 def test_poly_mul_modulus_mismatch():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import character_unit_sum, one, top, units
+from oracles import bit_pair_product, character_unit_sum, one, top, units
 from rkcodes.codes import _weight_table
 from rkcodes.ring import (
     RingElement,
@@ -47,6 +49,21 @@ def test_mul_examples():
     a = parse_element("1+u1+u2", 2, "generic")
     b = parse_element("1+u1", 2, "generic")
     assert format_element(a * b, "generic") == "1+u2+u1u2"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_mul_matches_the_bit_pair_product_on_every_pair(k):
+    ring = list(elements(k))
+    for a in ring:
+        assert [a * b for b in ring] == [bit_pair_product(a, b) for b in ring], a
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_mul_matches_the_bit_pair_product_on_random_pairs(k):
+    rng = random.Random(k)
+    for _ in range(300):
+        a, b = (E(k, rng.getrandbits(1 << k)) for _ in range(2))
+        assert a * b == bit_pair_product(a, b), (a, b)
 
 
 def test_mul_unital_commutative_associative_distributive():
