@@ -355,9 +355,9 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
     orbit is evaluated, and only winners are formatted.  Output is
     independent of the worker count.  jobs > 1 spawns min(jobs, chunks,
     CPUs) workers, so a script calling it needs the if __name__ ==
-    "__main__" guard.  Raises BudgetError when candidates were skipped for
-    the codeword budget and none was evaluated, and ValueError when none
-    was evaluated for any other reason.
+    "__main__" guard.  Raises BudgetError above the candidate cap (tuples
+    or samples) or when candidates were skipped for the codeword budget and
+    none was evaluated, and ValueError when none was evaluated otherwise.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -373,6 +373,10 @@ def search(config: SearchConfig, jobs: int = 1) -> list[dict]:
                     f"2^{positions << config.k} candidate tuples exceed the "
                     f"2^{config.max_candidates_log2} exhaustive cap"
                 )
+        elif config.samples > 1 << config.max_candidates_log2:  # checked before any digit is drawn
+            raise BudgetError(
+                f"{config.samples} random samples exceed the 2^{config.max_candidates_log2} cap"
+            )
         else:
             digits = _draw_digits(rng, size, positions * config.samples)
             tuples = [digits[i:i + positions] for i in range(0, len(digits), positions)]

@@ -398,11 +398,13 @@ class BinaryCode:
 def _byte_table(k: int) -> bytes | tuple[bytes, ...]:
     """Gray image of every byte of a flat word over R_k, k <= K_MAX: of its 8 >> k coordinates.
 
-    For k = 1 one byte goes to one byte, so the table is a bytes.translate
-    table; otherwise entry b is the bytes that byte b goes to.
+    Built by linearity: span_blocks sums, in byte order, the basis rows of
+    bit j (monomial j % 2^k of coordinate j >> k).  At k = 1 a byte goes to
+    a byte, so it is a bytes.translate table; else entry b is byte b's image.
     """
     gray, size = GrayMap(k), unit_count(k) >> k  # the bytes of 8 >> k coordinates' image
-    images = [gray.image(unflatten_vec(b, k, 8 >> k)).to_bytes(size, "little") for b in range(256)]
+    rows = [gray.basis_rows[j % (1 << k)] << (j >> k) * gray.image_len for j in range(8)]
+    images = [img.to_bytes(size, "little") for img in next(iter(span_blocks(rows)))]
     return b"".join(images) if k == 1 else tuple(images)
 
 

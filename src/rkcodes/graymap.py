@@ -7,28 +7,26 @@ assignment turns the homogeneous weight into the Hamming weight, because
 RM(1, m) has exactly one word of full weight and all other nonzero words of
 weight 2^(m-1) = gamma.
 
-The k = 1 and k = 2 tables are pinned to the published displays
+The monomial with subset index a goes to the evaluation vector "bit a of
+the coordinate index", which at k = 1 is the published psi_1(1) = 01,
+psi_1(u) = 11 (strings are coordinate 0 first).  k = 2 is pinned to
 
-    psi_1(1) = 01   psi_1(u) = 11
     psi_2(1) = 10101010   psi_2(u) = 11110000
     psi_2(v) = 11001100   psi_2(uv) = 11111111
 
-(strings are coordinate 0 first); for k = 3 the monomial with subset
-index a maps to the evaluation vector "bit a of the coordinate index".
+GrayMap extends the rows linearly: gf2.span_blocks lists every coefficient
+word's image, and the decoder inverts that list.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from rkcodes.gf2 import span_blocks
+from rkcodes.polyqt import RingVec
 from rkcodes.ring import K_MAX, RingElement, unit_count
 
-RingVec = tuple[RingElement, ...]
-
-_PINNED_ROWS = {
-    1: (0b10, 0b11),  # 1, u
-    2: (0x55, 0x0F, 0x33, 0xFF),  # 1, u, v, uv
-}
+_PINNED_ROWS = {2: (0x55, 0x0F, 0x33, 0xFF)}  # 1, u, v, uv
 
 
 class NotInImageError(ValueError):
@@ -57,9 +55,10 @@ class GrayMap:
         self.k = k
         self.image_len = unit_count(k)
         self.basis_rows = _PINNED_ROWS.get(k) or _bit_slice_rows(k)
-        # Decoder: every coefficient word by its image; fewer images than words mean dependent rows.
-        self._decoder = {self.word_image(c): c for c in range(1 << len(self.basis_rows))}
-        if len(self._decoder) < 1 << len(self.basis_rows):
+        # Every coefficient word's image in word order; fewer distinct images mean dependent rows.
+        self._images = next(iter(span_blocks(self.basis_rows)))
+        self._decoder = {img: c for c, img in enumerate(self._images)}
+        if len(self._decoder) < len(self._images):
             raise AssertionError("basis table rows are not independent")
 
     def element_image(self, e: RingElement) -> int:
@@ -69,13 +68,7 @@ class GrayMap:
 
     def word_image(self, coeffs: int) -> int:
         """Image of the element with coefficient word coeffs: the XOR of its monomials' rows."""
-        img = 0
-        c = coeffs
-        while c:
-            bit = c & -c
-            c ^= bit
-            img ^= self.basis_rows[bit.bit_length() - 1]
-        return img
+        return self._images[coeffs]
 
     def image(self, vec: Sequence[RingElement]) -> int:
         """Componentwise image; block i occupies bits [i*image_len, (i+1)*image_len)."""

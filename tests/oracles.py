@@ -7,7 +7,9 @@ library has no caller for them.  Also the search orbit check on formatted
 generator strings, which search's rank keys replaced, and the products
 that ring's mask rule and polyqt's twistulant rows replaced: the R_k
 product by pairs of monomials and the schoolbook product modulo
-x^m - lambda.
+x^m - lambda.  And the Gray tables as they were built before GrayMap and
+codes._byte_table listed them by linearity: an element's image by a loop
+over its monomials, and each byte's image through RingElement objects.
 """
 
 from __future__ import annotations
@@ -70,6 +72,24 @@ def schoolbook_product(f: Polynomial, g: Polynomial) -> Polynomial:
             else:
                 out[i + j - m] += bit_pair_product(f.lam, prod)  # x^m = lambda
     return Polynomial(tuple(out), f.lam)
+
+
+def bit_loop_word_image(gray: GrayMap, coeffs: int) -> int:
+    """The image of coefficient word coeffs: the XOR of its monomials' basis rows, bit by bit."""
+    img = 0
+    c = coeffs
+    while c:
+        bit = c & -c
+        c ^= bit
+        img ^= gray.basis_rows[bit.bit_length() - 1]
+    return img
+
+
+def object_byte_table(k: int) -> bytes | tuple[bytes, ...]:
+    """codes._byte_table built per byte: its 8 >> k coordinates as elements, by GrayMap.image."""
+    gray, size = GrayMap(k), unit_count(k) >> k
+    images = [gray.image(unflatten_vec(b, k, 8 >> k)).to_bytes(size, "little") for b in range(256)]
+    return b"".join(images) if k == 1 else tuple(images)
 
 
 def character_unit_sum(x: RingElement) -> int:

@@ -7,6 +7,7 @@ import os
 import random
 import threading
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -321,6 +322,15 @@ def test_search_exhaustive_cap():
     cfg = SearchConfig(k=2, lam="1", ell=1, m_values=(8,), max_candidates_log2=28)
     with pytest.raises(BudgetError):
         search(cfg)
+
+
+def test_random_search_shares_the_candidate_cap(monkeypatch):
+    config = SearchConfig(k=1, lam="3", ell=3, m_values=(2,), mode="random", samples=8,
+                          seed=7, max_candidates_log2=3)
+    assert search(config)  # 8 samples: at the cap
+    monkeypatch.setattr(analysis, "_draw_digits", lambda *args: pytest.fail("digits drawn"))
+    with pytest.raises(BudgetError, match="^9 random samples exceed the 2\\^3 cap$"):
+        search(replace(config, samples=9))
 
 
 def test_search_config_validation():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkcodes import analysis
 from rkcodes.cli import build_parser, main
 
 
@@ -325,9 +326,8 @@ def code_command_argv(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=60, deadline=None)
-@given(code_command_argv())
-def test_code_commands_keep_the_exit_code_contract(argv):
+def assert_exit_code_contract(argv: list[str]) -> None:
+    """main(argv) with stdin closed: exit 0-3, no traceback, no exit 0 without output."""
     out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = None  # closed: --gen - reads stdin
     try:
@@ -343,9 +343,77 @@ def test_code_commands_keep_the_exit_code_contract(argv):
     assert rc != 0 or out.getvalue(), argv
 
 
+@settings(max_examples=60, deadline=None)
+@given(code_command_argv())
+def test_code_commands_keep_the_exit_code_contract(argv):
+    assert_exit_code_contract(argv)
+
+
+@st.composite
+def search_argv(draw) -> list[str]:
+    """argv of a small search: a valid one half the time, else one with a single fault.
+
+    (ell*m) << k stays at most 12, so an exhaustive search walks at most
+    2^12 tuples; random mode draws at most 50 samples; --jobs is -1, 0 or
+    1 (or left out), so no process pool starts.
+    """
+    k = draw(st.integers(1, 3))
+    ell = draw(st.integers(1, 12 >> k))
+    m = draw(st.integers(1, (12 >> k) // ell))
+    options = {
+        "--k": k, "--lambda": draw(st.sampled_from(UNITS[k])), "--ell": ell, "--m": m,
+        "--jobs": draw(st.sampled_from([None, 1])), "--seed": draw(st.integers(0, 9)),
+        "--budget": draw(st.sampled_from([None, 0, 2, 12])),
+    }
+    if draw(st.booleans()):
+        options["--mode"] = "random"
+        options["--samples"] = draw(st.integers(1, 50))
+    faults = ["k", "lambda", "ell", "m", "notation", "mode", "samples", "jobs", "budget"]
+    fault = draw(st.none() | st.sampled_from(faults))
+    if fault == "k":
+        options["--k"] = draw(st.sampled_from([None, 0, 4, 7, "x"]))
+    elif fault == "lambda":
+        options["--lambda"] = draw(st.sampled_from(["u", "0", "2", "x", "1+u9", ""]))
+    elif fault in ("ell", "m"):
+        options[f"--{fault}"] = draw(st.sampled_from([None, 0, -1, "x"]))
+    elif fault == "notation":
+        options["--notation"] = draw(st.sampled_from(["r1", "hex", "generic"]))
+    elif fault == "mode":
+        options["--mode"] = draw(st.sampled_from(["exhaustive", "stochastic", ""]))
+    elif fault == "samples":
+        options["--samples"] = draw(st.sampled_from([-1, 0, "x"]))
+    elif fault == "jobs":
+        options["--jobs"] = draw(st.sampled_from([-1, 0]))
+    elif fault == "budget":
+        options["--budget"] = draw(st.sampled_from([-1, "x"]))
+    argv = ["search", "--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    for flag, value in options.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(search_argv())
+def test_search_keeps_the_exit_code_contract(argv):
+    assert_exit_code_contract(argv)
+
+
 def test_budget_exit_code(capsys):
     rc, _ = run(capsys, "image", "--k", "2", "--gen", "11", "--budget", "3")
     assert rc == 3
+
+
+def test_random_search_over_the_candidate_cap_exits_3(capsys, monkeypatch):
+    def draw(*args):
+        raise AssertionError("digits drawn above the cap")
+
+    monkeypatch.setattr(analysis, "_draw_digits", draw)
+    rc = main(["search", "--k", "1", "--ell", "1", "--m", "2",
+               "--mode", "random", "--samples", str(2**28 + 1)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_build_is_not_capped_by_the_budget(capsys):

@@ -1,13 +1,14 @@
 """Byte-table maps, pivot-mask elimination, min-only distance, search's per-block
-parts and the Gray decoder table against the code they replaced.
+parts and the Gray tables against the code they replaced.
 
 Each oracle below is the implementation its fast path replaced: the
 per-coordinate loop behind binary images, F2Span with a loop over every
 basis row, the minimum nonzero key of a full span_counts, the orbit check
 on formatted generator strings (oracles.check_orbit_keys), the Gray image
 of a reduced module span (binary_image, for the divisor and unit parts
-too), and a GrayMap decoder that carries basis combinations through its
-own elimination.
+too), a GrayMap decoder that carries basis combinations through its own
+elimination, and the Gray tables built per element and per byte
+(oracles.bit_loop_word_image, oracles.object_byte_table).
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import check_orbit_keys, digit_blocks
+from oracles import bit_loop_word_image, check_orbit_keys, digit_blocks, object_byte_table
 from rkcodes.analysis import _BlockParts
 from rkcodes.codes import (
     QTCode,
+    _byte_table,
     _map_coordinates,
     _span_of_flat,
     binary_image,
@@ -101,6 +103,26 @@ def test_byte_table_map_matches_per_coordinate_loop(k):
         assert all(row < 1 << n * width for row in got)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gray_tables_match_the_per_element_and_per_byte_builds(k):
+    gray = GrayMap(k)
+    assert [gray.word_image(c) for c in range(1 << (1 << k))] == [
+        bit_loop_word_image(gray, c) for c in range(1 << (1 << k))
+    ]
+    assert _byte_table(k) == object_byte_table(k)
+
+
+def test_byte_tables_build_without_ring_elements(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the byte table went through RingElement images")
+
+    for name in ("element_image", "image"):
+        monkeypatch.setattr(GrayMap, name, refuse)
+    monkeypatch.setattr(RingElement, "__post_init__", refuse)
+    _byte_table.cache_clear()
+    assert [len(_byte_table(k)) for k in (1, 2, 3)] == [256, 256, 256]
+
+
 rows_strategy = st.lists(st.integers(0, (1 << 12) - 1) | st.integers(0, 15), max_size=16)
 
 
@@ -143,7 +165,7 @@ ORBIT_SHAPES = [  # (k, notation, ell, m)
 
 
 @pytest.mark.parametrize("shape", ORBIT_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_orbit_min_string_matches_sliced_shifts(shape):
+def test_orbit_min_string_keys_match_check_orbit_keys(shape):
     k, notation, ell, m = shape
     rng = random.Random(str(shape))
     size = 1 << (1 << k)
@@ -156,7 +178,7 @@ def test_orbit_min_string_matches_sliced_shifts(shape):
 
 
 @pytest.mark.parametrize("shape", ORBIT_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_block_parts_match_the_sliced_orbit_and_the_module_span_image(shape):
+def test_block_parts_match_check_orbit_keys_and_the_span_image(shape):
     # The image oracle reduces twice: the module span, then its Gray image.
     k, notation, ell, m = shape
     rng = random.Random(f"parts {shape}")

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import apply_permutation, one, top, unit_mul_permutation, units
+from rkcodes import graymap
 from rkcodes.codes import ModuleSpan, QTCode, binary_image, binary_image_of_span, flatten_vec
 from rkcodes.gf2 import bits_to_str, rotate_bits
 from rkcodes.graymap import GrayMap, NotInImageError
@@ -162,10 +163,10 @@ def test_unit_mul_permutation_all_units_k3():
         assert sorted(unit_mul_permutation(g, lam)) == list(range(128))
 
 
-def test_unit_mul_permutation_rejects_bad_inputs():
-    g = GrayMap(2)
-    g.basis_rows = (0x01, 0x02, 0x04, 0x08)  # independent, but columns 4..7 coincide
-    assert unit_mul_permutation(g, one(2)) is None
+def test_unit_mul_permutation_rejects_bad_inputs(monkeypatch):
+    # independent, but columns 4..7 coincide
+    monkeypatch.setitem(graymap._PINNED_ROWS, 2, (0x01, 0x02, 0x04, 0x08))
+    assert unit_mul_permutation(GrayMap(2), one(2)) is None
 
 
 @pytest.mark.parametrize("k", [0, K_MAX + 1])
