@@ -12,7 +12,7 @@ from rkcodes.codes import (
     qt_generator_matrix,
 )
 from rkcodes.graymap import GrayMap, NotInImageError
-from rkcodes.polyqt import Polynomial, lambda_substitute, poly_divmod, shift, twistulant
+from rkcodes.polyqt import shift, twistulant
 from rkcodes.ring import RingElement, format_element, gamma, parse_element
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "BudgetError",
     "GrayMap",
     "NotInImageError",
-    "Polynomial",
     "QTCode",
     "RingElement",
     "WeightEnumerator",
@@ -32,9 +31,7 @@ __all__ = [
     "gamma",
     "hom_weight_enumerator",
     "is_qt_invariant",
-    "lambda_substitute",
     "parse_element",
-    "poly_divmod",
     "qt_generator_matrix",
     "shift",
     "twistulant",

@@ -68,6 +68,8 @@ class GrayMap:
 
     def word_image(self, coeffs: int) -> int:
         """Image of the element with coefficient word coeffs: the XOR of its monomials' rows."""
+        if not 0 <= coeffs < len(self._images):
+            raise ValueError(f"coefficient word {coeffs:#x} does not fit R_{self.k}")
         return self._images[coeffs]
 
     def image(self, vec: Sequence[RingElement]) -> int:

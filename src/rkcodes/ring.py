@@ -127,10 +127,6 @@ class RingElement:
         return self.coeffs & 1
 
 
-def zero(k: int) -> RingElement:
-    return RingElement(k, 0)
-
-
 def monomial(k: int, indices: Iterable[int]) -> RingElement:
     """u_A for A = set(indices); monomial(k, ()) is 1."""
     mask = 0

@@ -1,15 +1,15 @@
 """Builders and brute-force oracles for the paper's facts that the tests check.
 
 The unit group, the code families with their predicted parameters, the
-Griesmer bound, free rank by division, the QC form of an odd-coindex QT
-code, and unit multiplication as a permutation of Gray coordinates: the
-library has no caller for them.  Also the search orbit check on formatted
-generator strings, which search's rank keys replaced, and the products
-that ring's mask rule and polyqt's twistulant rows replaced: the R_k
-product by pairs of monomials and the schoolbook product modulo
-x^m - lambda.  And the Gray tables as they were built before GrayMap and
-codes._byte_table listed them by linearity: an element's image by a loop
-over its monomials, and each byte's image through RingElement objects.
+Griesmer bound, free rank by division in R_k[x], the QC form of an
+odd-coindex QT code by the substitution x -> lambda*x, and unit
+multiplication as a permutation of Gray coordinates: the library has no
+caller for them.  Also the search orbit check on formatted generator
+strings, which search's rank keys replaced, and the R_k product by pairs
+of monomials, which ring's mask rule replaced.  And the Gray tables as
+they were built before GrayMap and codes._byte_table listed them by
+linearity: an element's image by a loop over its monomials, and each
+byte's image through RingElement objects.
 """
 
 from __future__ import annotations
@@ -22,10 +22,12 @@ from rkcodes.codes import (
     ModuleSpan, QTCode, binary_image_of_span, code_span, module_span, unflatten_vec
 )
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import (
-    Polynomial, format_generator, grade_scaled, poly_degree, poly_divmod, shift
-)
-from rkcodes.ring import RingElement, elements, gamma, unit_count, zero
+from rkcodes.polyqt import format_generator, shift
+from rkcodes.ring import RingElement, elements, gamma, unit_count
+
+
+def zero(k: int) -> RingElement:
+    return RingElement(k, 0)
 
 
 def one(k: int) -> RingElement:
@@ -58,20 +60,6 @@ def bit_pair_product(a: RingElement, b: RingElement) -> RingElement:
             if mask_a & mask_b == 0:
                 out ^= 1 << (mask_a | mask_b)
     return RingElement(a.k, out)
-
-
-def schoolbook_product(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f * g term by term, x^(i+j) = lambda * x^(i+j-m) past m, on bit_pair_product."""
-    m = f.m
-    out = [zero(f.k) for _ in range(m)]
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
-            prod = bit_pair_product(a, b)
-            if i + j < m:
-                out[i + j] += prod
-            else:
-                out[i + j - m] += bit_pair_product(f.lam, prod)  # x^m = lambda
-    return Polynomial(tuple(out), f.lam)
 
 
 def bit_loop_word_image(gray: GrayMap, coeffs: int) -> int:
@@ -171,11 +159,47 @@ def griesmer_sum(dim: int, d: int) -> int:
     return sum(-(-d // (1 << i)) for i in range(dim))
 
 
+def poly_degree(coeffs: Sequence[RingElement]) -> int:
+    """Largest index with a nonzero coefficient; -1 for the zero polynomial."""
+    for i in range(len(coeffs) - 1, -1, -1):
+        if coeffs[i]:
+            return i
+    return -1
+
+
+def poly_divmod(
+    f: Sequence[RingElement], g: Sequence[RingElement]
+) -> tuple[list[RingElement], list[RingElement]]:
+    """Divide f by monic g in R_k[x] (no modulus): f = q*g + r, deg r < deg g."""
+    dg = poly_degree(g)
+    if dg < 0 or g[dg].coeffs != 1:
+        raise ValueError("division is only supported by monic divisors")
+    k = g[0].k
+    rem = list(f) if f else [zero(k)]
+    q = [zero(k)] * max(len(rem) - dg, 1)
+    for pos in range(len(rem) - 1, dg - 1, -1):
+        c = rem[pos]
+        if not c:
+            continue
+        q[pos - dg] = c
+        for j in range(dg + 1):
+            rem[pos - dg + j] += c * g[j]
+    del rem[dg:]
+    if not rem:
+        rem = [zero(k)]
+    return q, rem
+
+
 def free_rank(g: Sequence[RingElement], m: int, lam: RingElement) -> int | None:
     """m - deg g when the monic g divides x^m - lambda in R_k[x], else None."""
     modulus = [lam] + [zero(lam.k)] * (m - 1) + [one(lam.k)]
     _, rem = poly_divmod(modulus, g)
     return m - poly_degree(g) if poly_degree(rem) < 0 else None
+
+
+def grade_scaled(vec: Sequence[RingElement], lam: RingElement, ell: int) -> tuple:
+    """Scale coordinate j by lam^(j // ell): the coefficient-substitution map x -> lam*x."""
+    return tuple(e if (j // ell) % 2 == 0 else lam * e for j, e in enumerate(vec))
 
 
 def qc_equivalent(code: QTCode) -> QTCode:

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from rkcodes import analysis
 from rkcodes.cli import build_parser, main
+from rkcodes.gf2 import bits_to_str
+from rkcodes.graymap import GrayMap
 
 
 def run(capsys, *argv: str) -> tuple[int, str]:
@@ -396,6 +398,57 @@ def search_argv(draw) -> list[str]:
 @settings(max_examples=40, deadline=None)
 @given(search_argv())
 def test_search_keeps_the_exit_code_contract(argv):
+    assert_exit_code_contract(argv)
+
+
+TABLE_IDS = ["1", "2", "3", "1,2", "1,2,3", " 3 ", "3,1", "", ",", "0", "9", "x", "1,,2", "-1"]
+
+
+def gray_images(k: int) -> list[str]:
+    """The Gray image text of every element of R_k: the blocks that gray --invert reads."""
+    gray = GrayMap(k)
+    return [bits_to_str(gray.word_image(c), gray.image_len) for c in range(1 << (1 << k))]
+
+
+@st.composite
+def element_command_argv(draw) -> list[str]:
+    """argv of eval, gray, gray --invert or verify-tables, valid or not.
+
+    k runs over -1..7 (or is left out), half the time 1..3, against rings
+    for 1..6 and Gray images for 1..3.  At k in 1..3 half the argv draw
+    their tokens from what k reads (elements of R_k, or runs of their Gray
+    images), the rest from stray text and binary strings of any length;
+    one in five has no token.  verify-tables takes table id text and a
+    --budget from -1 (refused) through 24 (the default), so a table may
+    run over it.
+    """
+    command = draw(st.sampled_from(["eval", "gray", "gray --invert", "verify-tables"]))
+    argv = command.split() + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if command == "verify-tables":
+        tables = draw(st.sampled_from(TABLE_IDS) | st.text("0123,x -", max_size=6))
+        argv += ["--tables", tables, "--budget", str(draw(st.integers(-1, 24)))]
+        return argv
+    k = draw(st.integers(1, 3) | st.sampled_from([None, -1, 0, 4, 5, 6, 7]))
+    notation = draw(st.sampled_from([None, None, None, "r1", "hex", "generic"]))
+    options = {"--k": k, "--notation": notation}
+    if command == "eval":
+        options["--op"] = draw(st.sampled_from([None, "none", "add", "mul"]))
+    for flag, value in options.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    token = st.text("01", min_size=1, max_size=12) | st.text(GENERATOR_ALPHABET, max_size=6)
+    if k in ELEMENTS and draw(st.booleans()):
+        token = st.sampled_from(ELEMENTS[k])
+        if "--invert" in argv:
+            token = st.lists(st.sampled_from(gray_images(k)), min_size=1, max_size=3).map("".join)
+    if draw(st.integers(0, 4)):  # else no token: argparse's usage error
+        argv += draw(st.lists(token, min_size=1, max_size=3))
+    return argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(element_command_argv())
+def test_element_commands_keep_the_exit_code_contract(argv):
     assert_exit_code_contract(argv)
 
 

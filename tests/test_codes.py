@@ -7,7 +7,7 @@ import random
 import pytest
 
 from oracles import (
-    bit_pair_product, free_rank, grade_scaled_span, interleave, one, qc_equivalent
+    bit_pair_product, free_rank, grade_scaled_span, interleave, one, qc_equivalent, zero
 )
 from rkcodes import codes
 from rkcodes.analysis import build_row_code, load_table_rows
@@ -33,7 +33,7 @@ from rkcodes.codes import (
 from rkcodes.gf2 import F2Span
 from rkcodes.gf2 import self_orthogonal as gf2_self_orthogonal
 from rkcodes.polyqt import parse_block
-from rkcodes.ring import RingElement, monomial, zero
+from rkcodes.ring import RingElement, monomial
 
 U1 = RingElement(1, 0b10)
 THREE = RingElement(1, 0b11)

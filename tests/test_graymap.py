@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import apply_permutation, one, top, unit_mul_permutation, units
+from oracles import apply_permutation, one, top, unit_mul_permutation, units, zero
 from rkcodes import graymap
 from rkcodes.codes import ModuleSpan, QTCode, binary_image, binary_image_of_span, flatten_vec
 from rkcodes.gf2 import bits_to_str, rotate_bits
@@ -18,7 +18,6 @@ from rkcodes.ring import (
     elements,
     hom_weight_vec,
     parse_element,
-    zero,
 )
 
 # frozen convention for k=3 (bit-slice rows, top -> all-ones)

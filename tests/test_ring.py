@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bit_pair_product, character_unit_sum, one, top, units
+from oracles import bit_pair_product, character_unit_sum, one, top, units, zero
 from rkcodes.codes import _weight_table
 from rkcodes.ring import (
     RingElement,
@@ -16,7 +16,6 @@ from rkcodes.ring import (
     monomial,
     parse_element,
     unit_count,
-    zero,
 )
 
 E = RingElement

@@ -1,7 +1,8 @@
 """Malformed input raises ValueError, and the message names no identifier.
 
 Each case reaches a check that no other test reaches: a wrong ring, an
-empty or misshapen generator, a non-unit twist, an unknown notation.  The
+empty or misshapen generator, an empty vector, a non-unit twist, a
+coefficient word outside the ring, an unknown notation.  The
 messages reach CLI users as "error: ..." lines, so, as for the literal text
 that tests/test_imports.py checks, no word of one may hold an underscore
 other than a ring name such as R_1.
@@ -13,16 +14,15 @@ import re
 
 import pytest
 
-from oracles import one
+from oracles import one, zero
 from rkcodes.codes import QTCode, module_span
 from rkcodes.gf2 import str_to_bits
 from rkcodes.graymap import GrayMap
-from rkcodes.polyqt import Polynomial, format_block, lambda_substitute, parse_block, twistulant
-from rkcodes.ring import RingElement, format_element, parse_element, zero
+from rkcodes.polyqt import format_block, parse_block, shift, twistulant
+from rkcodes.ring import RingElement, format_element, parse_element
 
 U = RingElement(1, 0b10)  # u, a nonunit of R_1
 ONE_BLOCK = (((zero(1),),),)  # one generator of one block of length 1
-ODD = Polynomial((one(1), zero(1), zero(1)), one(1))  # coindex 3
 
 CASES = [  # (id, a fragment of the message, the call)
     ("module span of no rows", "at least one generator row", lambda: module_span([])),
@@ -40,16 +40,12 @@ CASES = [  # (id, a fragment of the message, the call)
     ("binary string with a letter", "bad binary string", lambda: str_to_bits("01x")),
     ("gray image of another ring", "R_2 fed to a k=1",
      lambda: GrayMap(1).element_image(one(2))),
-    ("polynomial with no coefficient", "at least one coefficient",
-     lambda: Polynomial((), one(1))),
-    ("polynomial with a nonunit twist", "twist must be a unit",
-     lambda: Polynomial((zero(1),), U)),
-    ("polynomial of mixed rings", "different rings", lambda: Polynomial((zero(2),), one(1))),
-    ("substitution by a nonunit", "unit must be a unit", lambda: lambda_substitute(ODD, U)),
-    ("substitution by a unit of another ring", "unit from the wrong ring",
-     lambda: lambda_substitute(ODD, one(2))),
+    ("gray image of a negative word", "does not fit R_1", lambda: GrayMap(1).word_image(-1)),
+    ("gray image of a word past the ring", "does not fit R_1", lambda: GrayMap(1).word_image(4)),
     ("twistulant with a nonunit twist", "twist must be a unit",
      lambda: twistulant((one(1), zero(1)), U)),
+    ("twistulant of an empty row", "empty first row", lambda: twistulant((), one(1))),
+    ("shift of an empty vector", "empty vector", lambda: shift((), one(1))),
     ("parse an empty block", "empty generator block", lambda: parse_block("", 1)),
     ("format an empty block", "empty generator block", lambda: format_block(())),
     ("ring parameter 0", "got 0", lambda: RingElement(0, 0)),
