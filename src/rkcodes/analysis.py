@@ -198,6 +198,10 @@ class SearchConfig:
         if self.ell < 1 or min(self.m_values) < 1:
             raise ValueError("index ell and coindex m must be positive")
         _check_budget(0, self.budget)  # a negative budget is a usage error
+        if self.max_candidates_log2 < 0:
+            raise ValueError(
+                f"the candidate cap 2^{self.max_candidates_log2} needs an exponent of at least 0"
+            )
         if self.mode == "random" and self.samples < 1:
             raise ValueError("random search needs at least one sample")
         if not parse_element(self.lam, self.k, self.notation).is_unit:
@@ -296,6 +300,8 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
     """Best (-d, orbit key, digits) per (length, dimension) cell, and budget skips, of a chunk.
 
     payload: {"config": SearchConfig, "m": coindex, "tuples" or "index_range": candidates}.
+    Each candidate asks min_distance for at least the d that would beat its
+    cell's best so far, so most stop at a basis row; every kept d is exact.
     """
     config, m = payload["config"], payload["m"]
     k, ell, notation = config.k, config.ell, config.notation
@@ -317,12 +323,16 @@ def _evaluate_chunk(payload: dict) -> tuple[dict, int]:
         if key != least:
             continue  # a shift-equivalent candidate was or will be seen
         img = parts_of.image(digits, parts)
+        cell = (img.length, img.rank)
+        held = best.get(cell)
+        # the least d that beats the cell's best; an answer below it loses there, exact or not
+        at_least = 0 if held is None else (key > held[1]) - held[0]
         try:
-            d = img.min_distance(config.budget)
+            d = img.min_distance(config.budget, at_least)
         except BudgetError:
             skipped += 1
             continue
-        _keep_best(best, (img.length, img.rank), (-d, key, bytes(digits)))
+        _keep_best(best, cell, (-d, key, bytes(digits)))
     return best, skipped
 
 

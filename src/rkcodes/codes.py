@@ -372,11 +372,13 @@ class BinaryCode:
         _check_budget(self.rank, budget)
         return WeightEnumerator(span_counts(self.rows))
 
-    def min_distance(self, budget: int = DEFAULT_BUDGET_LOG2) -> int:
+    def min_distance(self, budget: int = DEFAULT_BUDGET_LOG2, at_least: int = 0) -> int:
+        """The minimum distance d, exact when d >= at_least; below at_least the
+        weight of some nonzero codeword may come back instead (gf2.min_weight)."""
         _check_budget(self.rank, budget)
         if self.rank == 0:
             raise ValueError("the zero code has no minimum distance")
-        return min_weight(self.rows, self.parts, self.divisor)
+        return min_weight(self.rows, self.parts, self.divisor, at_least)
 
     def is_self_orthogonal(self) -> bool:
         """A doubly-even code is self-orthogonal: 2*wt(x & y) = wt(x) + wt(y) - wt(x ^ y)."""

@@ -390,13 +390,22 @@ def info_set_min_weight(
 
 
 def min_weight(
-    basis: Sequence[int], parts: Sequence[tuple[int, int]] = (), divisor: int = 1
+    basis: Sequence[int], parts: Sequence[tuple[int, int]] = (), divisor: int = 1,
+    at_least: int = 0,
 ) -> int:
     """Smallest Hamming weight of a nonzero word in the span of independent rows.
 
     A basis of one block is walked; a larger one goes by information sets
-    (info_set_min_weight, which reads parts and divisor).
+    (info_set_min_weight, which reads parts and divisor).  The result is
+    exact whenever the minimum is at least at_least; otherwise it may be,
+    at once, the weight of a basis row below at_least, which is never
+    below the minimum.
     """
+    if not basis:
+        raise ValueError("the zero span has no nonzero word")
+    least_row = min(map(int.bit_count, basis))  # level 1: an upper bound on the minimum
+    if least_row < at_least:
+        return least_row
     if len(basis) <= LOW_ROWS:
         return span_min_weight(basis)
     return info_set_min_weight(basis, parts, divisor)

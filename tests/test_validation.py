@@ -2,10 +2,10 @@
 
 Each case reaches a check that no other test reaches: a wrong ring, an
 empty or misshapen generator, an empty vector, a non-unit twist, a
-coefficient word outside the ring, an unknown notation.  The
-messages reach CLI users as "error: ..." lines, so, as for the literal text
-that tests/test_imports.py checks, no word of one may hold an underscore
-other than a ring name such as R_1.
+coefficient word outside the ring, an unknown notation, a negative search
+candidate cap.  The messages reach CLI users as "error: ..." lines, so, as
+for the literal text that tests/test_imports.py checks, no word of one may
+hold an underscore other than a ring name such as R_1.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import re
 import pytest
 
 from oracles import one, zero
+from rkcodes.analysis import SearchConfig
 from rkcodes.codes import QTCode, module_span
 from rkcodes.gf2 import str_to_bits
 from rkcodes.graymap import GrayMap
@@ -57,6 +58,8 @@ CASES = [  # (id, a fragment of the message, the call)
      lambda: format_element(one(1), "octal")),
     ("r1 symbols for R_2", "only encode R_1", lambda: format_element(one(2), "r1")),
     ("hex digits for R_1", "only encode R_2", lambda: format_element(one(1), "hex")),
+    ("search with a negative candidate cap", "exponent of at least 0",
+     lambda: SearchConfig(k=1, m_values=(2,), max_candidates_log2=-1)),
 ]
 
 
